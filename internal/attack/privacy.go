@@ -87,10 +87,7 @@ func RunPrivacy(cfg PrivacyConfig) (*PrivacyResult, error) {
 	if cfg.VictimsPerDomain <= 0 {
 		cfg = DefaultPrivacyConfig(cfg.Seed)
 	}
-	enc, err := encoder.New(encoder.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
+	enc := encoder.Default()
 	gen, err := synth.New(synth.PACSConfig(cfg.Seed + 101))
 	if err != nil {
 		return nil, err

@@ -8,11 +8,34 @@
 // the role the pre-trained VGG plays. What PARDON needs from Φ is that its
 // channel-wise output statistics expose domain style, which holds for any
 // fixed conv stack when domains differ by channel statistics and texture.
+//
+// # Summation-order contract
+//
+// Encoder outputs feed content addresses, so the conv kernel must
+// reproduce the direct convolution bit for bit, not within a tolerance.
+// Each output pixel of a layer is computed as
+//
+//	out = bias
+//	for each input channel in ascending order:
+//		s := 0.0
+//		for ky, kx in row-major (ky, kx) order over the 3×3 taps:
+//			s += k[ky][kx] * in[y+ky-1][x+kx-1]
+//		out += s
+//
+// where taps falling outside the map are either skipped or read as zero.
+// The two are equivalent: for a finite weight the padded product k·0 is
+// ±0, s starts at +0 and under round-to-nearest can never become −0, so
+// adding ±0 leaves s unchanged in every bit (±Inf included). Any faster
+// kernel must keep this per-pixel order; it may only reorder the walk
+// over pixels and channel pairs. NaN payloads are outside the contract: a
+// NaN stays a NaN, but which payload NaN+NaN keeps follows the operand
+// order of the add instruction, which Go leaves to the compiler.
 package encoder
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/pardon-feddg/pardon/internal/rng"
 	"github.com/pardon-feddg/pardon/internal/tensor"
@@ -58,6 +81,20 @@ func DefaultConfig() Config {
 	return Config{InChannels: 3, H: 16, W: 16, Channels: []int{8, 16}, Pool: []bool{true, false}, Act: Linear, Seed: 7}
 }
 
+// Default returns the process-wide encoder built from DefaultConfig. It is
+// built on first use and then shared: an Encoder is read-only after
+// construction, so every scenario build reuses the same weights and
+// calibration instead of recomputing them.
+func Default() *Encoder { return defaultEncoder() }
+
+var defaultEncoder = sync.OnceValue(func() *Encoder {
+	e, err := New(DefaultConfig())
+	if err != nil {
+		panic(err) // DefaultConfig is valid by construction
+	}
+	return e
+})
+
 type convLayer struct {
 	inC, outC int
 	// weights indexed [out][in][ky][kx], 3×3 kernels.
@@ -92,6 +129,11 @@ func New(cfg Config) (*Encoder, error) {
 	if len(cfg.Channels) == 0 {
 		return nil, fmt.Errorf("encoder: no layers configured")
 	}
+	for li, c := range cfg.Channels {
+		if c <= 0 {
+			return nil, fmt.Errorf("encoder: layer %d has %d output channels", li, c)
+		}
+	}
 	if cfg.Pool == nil {
 		cfg.Pool = make([]bool, len(cfg.Channels))
 		cfg.Pool[0] = true
@@ -99,8 +141,12 @@ func New(cfg Config) (*Encoder, error) {
 	if len(cfg.Pool) != len(cfg.Channels) {
 		return nil, fmt.Errorf("encoder: Pool has %d entries for %d layers", len(cfg.Pool), len(cfg.Channels))
 	}
-	if cfg.Act == 0 {
+	switch cfg.Act {
+	case 0:
 		cfg.Act = Linear
+	case Linear, ReLU:
+	default:
+		return nil, fmt.Errorf("encoder: unknown activation %d", cfg.Act)
 	}
 	src := rng.New(cfg.Seed)
 	e := &Encoder{cfg: cfg}
@@ -239,39 +285,33 @@ func (e *Encoder) PooledFeature(x *tensor.Tensor) ([]float64, error) {
 	return out, nil
 }
 
+// forward runs one conv layer (plus ReLU and 2×2 mean pooling when
+// configured). A pooled layer convolves each output channel into one
+// reused full-resolution plane and pools it straight into the output.
 func (l *convLayer) forward(x *tensor.Tensor) *tensor.Tensor {
 	h, w := x.Dim(1), x.Dim(2)
-	out := tensor.New(l.outC, h, w)
-	src := x.Data()
-	dst := out.Data()
 	hw := h * w
+	pad := padPlanes(x.Data(), l.inC, h, w)
+	plane := (h + 2) * (w + 2)
+	oh, ow := h, w
+	var full []float64
+	if l.pool {
+		oh, ow = h/2, w/2
+		full = make([]float64, hw)
+	}
+	out := tensor.New(l.outC, oh, ow)
+	dst := out.Data()
+	ohw := oh * ow
 	for o := 0; o < l.outC; o++ {
-		oseg := dst[o*hw : (o+1)*hw]
+		oseg := full
+		if !l.pool {
+			oseg = dst[o*hw : (o+1)*hw]
+		}
 		for i := range oseg {
 			oseg[i] = l.bias[o]
 		}
 		for in := 0; in < l.inC; in++ {
-			iseg := src[in*hw : (in+1)*hw]
-			k := &l.w[o][in]
-			for y := 0; y < h; y++ {
-				for xx := 0; xx < w; xx++ {
-					s := 0.0
-					for ky := -1; ky <= 1; ky++ {
-						yy := y + ky
-						if yy < 0 || yy >= h {
-							continue
-						}
-						for kx := -1; kx <= 1; kx++ {
-							xc := xx + kx
-							if xc < 0 || xc >= w {
-								continue
-							}
-							s += k[ky+1][kx+1] * iseg[yy*w+xc]
-						}
-					}
-					oseg[y*w+xx] += s
-				}
-			}
+			conv3x3Add(oseg, pad[in*plane:(in+1)*plane], h, w, &l.w[o][in])
 		}
 		if l.relu {
 			for i, v := range oseg {
@@ -280,23 +320,60 @@ func (l *convLayer) forward(x *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-	}
-	if !l.pool {
-		return out
-	}
-	ph, pw := h/2, w/2
-	pooled := tensor.New(l.outC, ph, pw)
-	pd := pooled.Data()
-	phw := ph * pw
-	for o := 0; o < l.outC; o++ {
-		oseg := dst[o*hw : (o+1)*hw]
-		pseg := pd[o*phw : (o+1)*phw]
-		for y := 0; y < ph; y++ {
-			for xx := 0; xx < pw; xx++ {
-				s := oseg[(2*y)*w+2*xx] + oseg[(2*y)*w+2*xx+1] + oseg[(2*y+1)*w+2*xx] + oseg[(2*y+1)*w+2*xx+1]
-				pseg[y*pw+xx] = s * 0.25
+		if l.pool {
+			pseg := dst[o*ohw : (o+1)*ohw]
+			for y := 0; y < oh; y++ {
+				for xx := 0; xx < ow; xx++ {
+					s := oseg[(2*y)*w+2*xx] + oseg[(2*y)*w+2*xx+1] + oseg[(2*y+1)*w+2*xx] + oseg[(2*y+1)*w+2*xx+1]
+					pseg[y*ow+xx] = s * 0.25
+				}
 			}
 		}
 	}
-	return pooled
+	return out
+}
+
+// padPlanes copies each of the c h×w planes of src into the centre of a
+// zero (h+2)×(w+2) frame, so the conv never branches on the border.
+func padPlanes(src []float64, c, h, w int) []float64 {
+	pw, hw := w+2, h*w
+	phw := (h + 2) * pw
+	pad := make([]float64, c*phw)
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			copy(pad[ch*phw+(y+1)*pw+1:], src[ch*hw+y*w:ch*hw+(y+1)*w])
+		}
+	}
+	return pad
+}
+
+// conv3x3Add adds the 3×3 correlation of one zero-padded input plane p
+// ((h+2)×(w+2), from padPlanes) with kernel k to the h×w output plane
+// dst, in the per-pixel tap order the package contract fixes.
+func conv3x3Add(dst, p []float64, h, w int, k *[3][3]float64) {
+	k00, k01, k02 := k[0][0], k[0][1], k[0][2]
+	k10, k11, k12 := k[1][0], k[1][1], k[1][2]
+	k20, k21, k22 := k[2][0], k[2][1], k[2][2]
+	pw := w + 2
+	for y := 0; y < h; y++ {
+		// Padded column x holds input column x-1, so output pixel x-2
+		// reads columns x-2, x-1, x of the three padded rows.
+		r0 := p[y*pw : (y+1)*pw]
+		r1 := p[(y+1)*pw:][:len(r0)]
+		r2 := p[(y+2)*pw:][:len(r0)]
+		row := dst[y*w:][:len(r0)-2]
+		for x := 2; x < len(r0); x++ {
+			s := 0.0
+			s += k00 * r0[x-2]
+			s += k01 * r0[x-1]
+			s += k02 * r0[x]
+			s += k10 * r1[x-2]
+			s += k11 * r1[x-1]
+			s += k12 * r1[x]
+			s += k20 * r2[x-2]
+			s += k21 * r2[x-1]
+			s += k22 * r2[x]
+			row[x-2] += s
+		}
+	}
 }

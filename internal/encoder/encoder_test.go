@@ -90,6 +90,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := encoder.New(bad); err == nil {
 		t.Fatal("odd pooled map should error")
 	}
+	for _, ch := range [][]int{{0}, {8, 0}, {-1}, {8, -4}} {
+		bad = encoder.Config{InChannels: 3, H: 16, W: 16, Channels: ch}
+		if _, err := encoder.New(bad); err == nil {
+			t.Fatalf("Channels %v should error", ch)
+		}
+	}
+	for _, act := range []encoder.Activation{encoder.ReLU + 1, -1} {
+		bad = encoder.DefaultConfig()
+		bad.Act = act
+		if _, err := encoder.New(bad); err == nil {
+			t.Fatalf("unknown activation %d should error", act)
+		}
+	}
 }
 
 // Domain style must be visible in feature channel statistics — the
@@ -197,5 +210,23 @@ func TestCalibrationRoughlyStandardizes(t *testing.T) {
 	std := math.Sqrt(sumSq/float64(n) - mean*mean)
 	if math.Abs(mean) > 0.2 || std < 0.5 || std > 2 {
 		t.Fatalf("calibrated output not standardized on probe-like input: mean=%g std=%g", mean, std)
+	}
+}
+
+var encodeSink *tensor.Tensor
+
+// BenchmarkEncode is the encoder's rung on the kernel ledger: one 3×16×16
+// image through the default encoder's conv stack and calibration.
+func BenchmarkEncode(b *testing.B) {
+	enc := encoder.Default()
+	x := tensor.Randn(rand.New(rand.NewSource(1)), 1, 3, 16, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := enc.Encode(x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encodeSink = f
 	}
 }

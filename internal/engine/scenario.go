@@ -40,10 +40,7 @@ func buildScenario(spec Spec, parallelism int) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := encoder.New(encoder.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
+	enc := encoder.Default()
 	c, h, w := enc.OutShape()
 	env := &fl.Env{
 		Enc: enc,

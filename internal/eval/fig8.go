@@ -112,10 +112,7 @@ func styleTransferComparison(cfg Config, outDir string) (*StyleTransferCompariso
 	if err != nil {
 		return nil, err
 	}
-	enc, err := encoder.New(encoder.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
+	enc := encoder.Default()
 	src := rng.New(cfg.Seed).Child("fig8")
 
 	// Three "target clients", one per domain, with their private styles;
