@@ -11,6 +11,8 @@ package pardon_test
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"testing"
@@ -31,15 +33,23 @@ import (
 
 var logOnce sync.Map
 
+// benchEngine opens a memory-only engine whose lifecycle log lines are
+// discarded, so benchmark output holds only benchmark results.
+func benchEngine(b *testing.B) *engine.Engine {
+	b.Helper()
+	eng, err := engine.New(engine.Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // freshEvalConfig gives a benchmark iteration its own engine so every
 // iteration measures training, not content-address cache hits on the
 // process-wide default engine.
 func freshEvalConfig(b *testing.B, seed uint64) (eval.Config, func()) {
 	b.Helper()
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := benchEngine(b)
 	return eval.Config{Scale: eval.Small, Seed: seed, Engine: eng}, eng.Close
 }
 
@@ -546,10 +556,7 @@ func BenchmarkMicroKernels(b *testing.B) {
 
 func benchRoundThroughput(b *testing.B, prec nn.Precision) {
 	b.Helper()
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := benchEngine(b)
 	defer eng.Close()
 	spec := engine.Spec{
 		Method: "FedAvg", Dataset: "PACS", GenSeed: 1,

@@ -24,7 +24,7 @@ func TestClusterJobTraceMergesWorkerSpans(t *testing.T) {
 	cl.addWorker("alpha", nil)
 
 	spec := tinySpec("FedAvg", 31)
-	j, err := cl.eng.SubmitTraced(spec, 0, "trace-dist-31")
+	j, err := cl.eng.Submit(spec, 0, engine.WithTrace("trace-dist-31"))
 	if err != nil {
 		t.Fatal(err)
 	}

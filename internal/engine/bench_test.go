@@ -42,7 +42,7 @@ func runSweep(b *testing.B, e *Engine) {
 func BenchmarkSweepCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := New(Options{})
+		e, err := New(Options{Logger: discardLogger()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkSweepCold(b *testing.B) {
 // store: every job is a content-address hit and zero rounds train. The
 // cold/cached ratio is the engine's memoization payoff.
 func BenchmarkSweepCached(b *testing.B) {
-	e, err := New(Options{})
+	e, err := New(Options{Logger: discardLogger()})
 	if err != nil {
 		b.Fatal(err)
 	}

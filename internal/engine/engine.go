@@ -113,7 +113,9 @@ type Options struct {
 
 // Stats is a snapshot of engine counters.
 type Stats struct {
-	// Submitted counts Submit/SubmitFunc calls.
+	// Submitted counts job submissions: every Submit and SubmitFunc call,
+	// and every unique cell job of a SubmitSweep (including journal
+	// replays), whether answered from the cache, coalesced, or enqueued.
 	Submitted int64 `json:"submitted"`
 	// CacheHits counts submissions answered from the result store.
 	CacheHits int64 `json:"cache_hits"`
@@ -253,7 +255,7 @@ func (e *Engine) replayJournal() {
 	jobs, sweeps := e.journal.live()
 	replayedSweep := map[string]bool{}
 	for _, rec := range sweeps {
-		if _, err := e.SubmitSweepAs(*rec.Sweep, rec.Priority, rec.Trace, rec.Tenant); err != nil {
+		if _, err := e.SubmitSweep(*rec.Sweep, rec.Priority, WithTrace(rec.Trace), WithTenant(rec.Tenant)); err != nil {
 			e.log.Warn("engine: journal sweep replay failed", "trace", rec.Trace, "error", err)
 			continue
 		}
@@ -264,7 +266,9 @@ func (e *Engine) replayJournal() {
 		if rec.SweepTrace != "" && replayedSweep[rec.SweepTrace] {
 			continue // re-created as a cell of its replayed sweep
 		}
-		if _, err := e.submit(*rec.Spec, rec.Priority, rec.Trace, rec.Tenant, rec.SweepTrace, false); err != nil {
+		o := resolveOptions(WithTrace(rec.Trace), WithTenant(rec.Tenant))
+		o.sweep = rec.SweepTrace
+		if _, err := e.submitSpec(*rec.Spec, rec.Priority, o); err != nil {
 			e.log.Warn("engine: journal job replay failed", "trace", rec.Trace, "key", rec.Key, "error", err)
 			continue
 		}
@@ -324,19 +328,6 @@ func (e *Engine) Store() *Store { return e.store }
 // GET /v1/traces/{id}.
 func (e *Engine) Traces() *telemetry.TraceStore { return e.traces }
 
-// span records one span on a job's trace with a fresh span ID.
-func (e *Engine) span(j *Job, parent, name string, start, end time.Time, attrs map[string]string) {
-	e.traces.Add(telemetry.Span{
-		TraceID:     j.TraceID,
-		SpanID:      telemetry.NewSpanID(),
-		ParentID:    parent,
-		Name:        name,
-		Start:       start,
-		DurationSec: end.Sub(start).Seconds(),
-		Attrs:       attrs,
-	})
-}
-
 // QueueDepths returns the scheduler's per-tenant queued-job counts —
 // the fleet dashboard's queue panel. Tenants with empty queues are
 // omitted.
@@ -367,38 +358,68 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
+// SubmitOption adjusts one submission. Every option means the same on
+// Submit, SubmitSweep and SubmitFunc.
+type SubmitOption func(*submitOptions)
+
+// submitOptions is the resolved option set of one submission.
+type submitOptions struct {
+	trace  string // caller-supplied trace ID; "" (or invalid) mints one
+	tenant string // never "" once resolved
+	fresh  bool
+	// sweep is the batch trace of the sweep a cell job belongs to, the
+	// journal's link from cell record to sweep record ("" standalone).
+	sweep string
+}
+
+// WithTrace adopts a caller-supplied trace ID (the HTTP layer's
+// X-Request-ID). An empty or invalid ID mints a fresh one, and a
+// submission that coalesces onto an in-flight job observes that job's
+// original trace. A sweep's batch adopts the ID and traces each freshly
+// created cell job as "<batch-trace>-cN" (N the first grid cell the job
+// answers), so one grep for the batch trace follows every cell it
+// spawned.
+func WithTrace(id string) SubmitOption {
+	return func(o *submitOptions) { o.trace = id }
+}
+
+// WithTenant attributes the submission to a tenant: its jobs join that
+// tenant's fair-share queue, count against its queue quota (a full
+// quota refuses the submission with a *QuotaError), and carry its
+// metrics label. An empty name is AnonymousTenant.
+func WithTenant(name string) SubmitOption {
+	return func(o *submitOptions) { o.tenant = name }
+}
+
+// Fresh skips the result-store lookup: the run always executes, and its
+// result still overwrites the store entry. Use it when the consumer
+// needs this machine's live measurement — e.g. the Fig. 4 wall-clock
+// breakdown, which a cached result would report stale.
+func Fresh() SubmitOption {
+	return func(o *submitOptions) { o.fresh = true }
+}
+
+// resolveOptions applies opts and resolves the empty tenant to
+// AnonymousTenant, the one place that happens.
+func resolveOptions(opts ...SubmitOption) submitOptions {
+	var o submitOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.tenant == "" {
+		o.tenant = AnonymousTenant
+	}
+	return o
+}
+
 // Submit schedules the run a Spec describes. The submission is answered
 // from the result store when the Spec's content-address is cached (the
 // returned job is already Done with Cached()==true and zero federated
 // rounds are trained), coalesces onto an identical in-flight job when
 // one exists, and otherwise enqueues at the given priority (higher runs
 // first).
-func (e *Engine) Submit(spec Spec, priority int) (*Job, error) {
-	return e.submit(spec, priority, "", "", "", false)
-}
-
-// SubmitTraced is Submit with a caller-supplied trace ID (the HTTP
-// layer's X-Request-ID). An empty or invalid ID mints a fresh one; a
-// submission that coalesces onto an in-flight job observes that job's
-// original trace.
-func (e *Engine) SubmitTraced(spec Spec, priority int, traceID string) (*Job, error) {
-	return e.submit(spec, priority, traceID, "", "", false)
-}
-
-// SubmitAs is SubmitTraced with tenant attribution: the job joins that
-// tenant's fair-share queue and counts against its queue quota (a full
-// quota refuses the submission with a *QuotaError). An empty tenant is
-// the anonymous tenant.
-func (e *Engine) SubmitAs(spec Spec, priority int, traceID, tenant string) (*Job, error) {
-	return e.submit(spec, priority, traceID, tenant, "", false)
-}
-
-// SubmitFresh is Submit minus the cache lookup: the run always executes
-// (its result still overwrites the store entry). Use it when the
-// consumer needs this machine's live measurement — e.g. the Fig. 4
-// wall-clock breakdown, which a cached result would report stale.
-func (e *Engine) SubmitFresh(spec Spec, priority int) (*Job, error) {
-	return e.submit(spec, priority, "", "", "", true)
+func (e *Engine) Submit(spec Spec, priority int, opts ...SubmitOption) (*Job, error) {
+	return e.submitSpec(spec, priority, resolveOptions(opts...))
 }
 
 // resolveSpec applies engine-wide defaults to a submitted Spec — today
@@ -412,8 +433,10 @@ func (e *Engine) resolveSpec(sp Spec) Spec {
 	return sp
 }
 
-func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace string, fresh bool) (*Job, error) {
-	submitStart := time.Now()
+// submitSpec admits one Spec job: a standalone submission, a sweep
+// cell, or a journal replay.
+func (e *Engine) submitSpec(spec Spec, priority int, o submitOptions) (*Job, error) {
+	start := time.Now()
 	spec = e.resolveSpec(spec)
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -422,60 +445,9 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	if err != nil {
 		return nil, err
 	}
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
-	e.submitted.Add(1)
-	e.metrics.jobsSubmitted.With(tenant).Inc()
-	sp := spec
-	if !fresh {
-		if res, ok, err := e.store.Get(hash); err != nil {
-			return nil, err
-		} else if ok {
-			e.cacheHits.Add(1)
-			e.metrics.cacheHits.Inc()
-			// A cached answer also settles any stale live journal record
-			// for this key (e.g. a crash after the Result was persisted
-			// but before the done-record landed).
-			e.journal.jobDone(hash, StateDone)
-			return e.sched.completed(&sp, hash, priority, trace, tenant, res), nil
-		}
-	}
-	// Write-ahead: the submission is journaled before the scheduler can
-	// accept it, so a crash between the two replays the job rather than
-	// losing it. Duplicate submit records for a coalesced key compact
-	// away; a quota refusal below retracts the record.
-	e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp)
-	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), func(ctx context.Context, j *Job) (*Result, error) {
-		res, err := e.runSpec(ctx, j, sp, hash)
-		if err != nil {
-			return nil, err
-		}
-		persistStart := time.Now()
-		if err := e.store.Put(hash, res); err != nil {
-			return nil, err
-		}
-		j.addPersist(time.Since(persistStart))
-		e.span(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
-		return res, nil
+	return e.enqueue(&spec, hash, priority, o, start, func(ctx context.Context, j *Job) (*Result, error) {
+		return e.runSpec(ctx, j, spec, hash)
 	})
-	if coalesced {
-		e.coalesced.Add(1)
-		e.metrics.jobsCoalesced.Inc()
-	} else if err == nil {
-		// The admission edge: validate + hash + journal + enqueue. A
-		// coalesced submission records nothing — the trace belongs to the
-		// first submitter.
-		e.span(j, j.RootSpanID(), "submit", submitStart, time.Now(), nil)
-	}
-	var qerr *QuotaError
-	if errors.As(err, &qerr) {
-		// Quota refusals only happen for keys with no in-flight job
-		// (coalescing is checked first), so retracting the record cannot
-		// clobber a live submission's journal entry.
-		e.journal.jobDone(hash, StateCancelled)
-	}
-	return j, err
 }
 
 // JobFunc is an ad-hoc computation submitted with SubmitFunc.
@@ -485,73 +457,101 @@ type JobFunc func(ctx context.Context) (*Result, error)
 // content-address (see FuncKey). It shares the queue, the worker pool,
 // cancellation, coalescing, and the result store with Spec jobs; use it
 // for experiments that are not a single federated run (e.g. the Fig. 8
-// style-transfer comparison).
-func (e *Engine) SubmitFunc(key string, priority int, fn JobFunc) (*Job, error) {
-	return e.SubmitFuncAs(key, priority, "", fn)
-}
-
-// SubmitFuncAs is SubmitFunc with tenant attribution (fair-share queue,
-// queue quota, metrics label). Func jobs are not journaled — their
-// closures cannot be reconstructed after a restart.
-func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFunc) (*Job, error) {
+// style-transfer comparison). Func jobs are not journaled — their
+// closures cannot be reconstructed after a restart — and never leave
+// the local worker pool.
+func (e *Engine) SubmitFunc(key string, priority int, fn JobFunc, opts ...SubmitOption) (*Job, error) {
 	if key == "" {
 		return nil, fmt.Errorf("engine: SubmitFunc needs a content-address key")
 	}
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
+	return e.enqueue(nil, key, priority, resolveOptions(opts...), time.Now(), func(ctx context.Context, _ *Job) (*Result, error) {
+		return fn(ctx)
+	})
+}
+
+// enqueue is the one admission path of Spec jobs (spec non-nil) and
+// func jobs: count the submission, answer it from the store unless
+// fresh, otherwise hand it to the scheduler, which coalesces it onto an
+// identical in-flight job when one exists. work computes the Result;
+// enqueue persists it under key. start opens the job's "submit" span.
+func (e *Engine) enqueue(spec *Spec, key string, priority int, o submitOptions, start time.Time, work jobRunFunc) (*Job, error) {
 	e.submitted.Add(1)
-	e.metrics.jobsSubmitted.With(tenant).Inc()
-	if res, ok, err := e.store.Get(key); err != nil {
-		return nil, err
-	} else if ok {
-		e.cacheHits.Add(1)
-		e.metrics.cacheHits.Inc()
-		return e.sched.completed(nil, key, priority, "", tenant, res), nil
+	e.metrics.jobsSubmitted.With(o.tenant).Inc()
+	if !o.fresh {
+		if res, ok, err := e.store.Get(key); err != nil {
+			return nil, err
+		} else if ok {
+			e.cacheHits.Add(1)
+			e.metrics.cacheHits.Inc()
+			// A cached answer also settles any stale live journal record
+			// for this key (e.g. a crash after the Result was persisted
+			// but before the done-record landed).
+			e.journal.jobDone(key, StateDone)
+			return e.sched.completed(spec, key, priority, o.trace, o.tenant, res), nil
+		}
 	}
-	j, coalesced, err := e.sched.submit(nil, key, priority, "", tenant, e.tenantQuota(tenant), func(ctx context.Context, j *Job) (*Result, error) {
-		res, err := fn(ctx)
+	if spec != nil {
+		// Write-ahead: the submission is journaled before the scheduler
+		// can accept it, so a crash between the two replays the job rather
+		// than losing it. Duplicate submit records for a coalesced key
+		// compact away; a quota refusal below retracts the record.
+		e.journal.jobSubmitted(key, o.trace, o.tenant, priority, o.sweep, *spec)
+	}
+	j, coalesced, err := e.sched.submit(spec, key, priority, o.trace, o.tenant, e.tenantQuota(o.tenant), func(ctx context.Context, j *Job) (*Result, error) {
+		res, err := work(ctx, j)
 		if err != nil {
 			return nil, err
 		}
-		persistStart := time.Now()
-		if err := e.store.Put(key, res); err != nil {
+		if err := e.persist(j, "persist", nil, func() error { return e.store.Put(key, res) }); err != nil {
 			return nil, err
 		}
-		j.addPersist(time.Since(persistStart))
 		return res, nil
 	})
 	if coalesced {
 		e.coalesced.Add(1)
 		e.metrics.jobsCoalesced.Inc()
+	} else if err == nil {
+		// The admission edge: validate + hash + journal + enqueue. A
+		// coalesced submission records nothing — the trace belongs to the
+		// first submitter.
+		e.sched.recordSpan(j, j.RootSpanID(), "submit", start, time.Now(), nil)
+	}
+	var qerr *QuotaError
+	if errors.As(err, &qerr) {
+		// Quota refusals only happen for keys with no in-flight job
+		// (coalescing is checked first), so retracting the record cannot
+		// clobber a live submission's journal entry. The journal ignores
+		// the (never journaled) keys of func jobs.
+		e.journal.jobDone(key, StateCancelled)
 	}
 	return j, err
 }
 
+// persist times one store write for j, charges it to the job's persist
+// timing, and records it as a span named name under the job's run span.
+func (e *Engine) persist(j *Job, name string, attrs map[string]string, write func() error) error {
+	start := time.Now()
+	if err := write(); err != nil {
+		return err
+	}
+	end := time.Now()
+	j.addPersist(end.Sub(start))
+	e.sched.recordSpan(j, j.RunSpanID(), name, start, end, attrs)
+	return nil
+}
+
 // SubmitSweep expands a parameter grid server-side and schedules it as
-// one Batch: each cell's Spec is submitted at the given priority, cells
-// whose Specs share a content-address share one job (the grid is
-// deduplicated before it reaches the scheduler), cached cells are born
-// done, and the rest shard across the worker pool. The Batch reports
-// aggregate state, per-cell results in grid order, a merged event
-// stream, and batch-wide cancellation.
-func (e *Engine) SubmitSweep(sw Sweep, priority int) (*Batch, error) {
-	return e.SubmitSweepTraced(sw, priority, "")
-}
-
-// SubmitSweepTraced is SubmitSweep with a caller-supplied trace ID. The
-// batch adopts (or mints) the ID and each freshly created cell job is
-// traced as "<batch-trace>-cN" (N the first grid cell the job answers),
-// so one grep for the batch trace follows every cell it spawned.
-func (e *Engine) SubmitSweepTraced(sw Sweep, priority int, traceID string) (*Batch, error) {
-	return e.SubmitSweepAs(sw, priority, traceID, "")
-}
-
-// SubmitSweepAs is SubmitSweepTraced with tenant attribution. On a
-// disk-backed engine the whole sweep is journaled under its batch trace
-// before any cell is submitted, so a crash mid-sweep reconstitutes the
-// Batch — not just its surviving cells — on the next boot.
-func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (*Batch, error) {
+// one Batch: each cell's Spec is submitted at the given priority with
+// the sweep's options, cells whose Specs share a content-address share
+// one job (the grid is deduplicated before it reaches the scheduler),
+// cached cells are born done, and the rest shard across the worker pool.
+// The Batch reports aggregate state, per-cell results in grid order, a
+// merged event stream, and batch-wide cancellation. On a disk-backed
+// engine the whole sweep is journaled under its batch trace before any
+// cell is submitted, so a crash mid-sweep reconstitutes the Batch — not
+// just its surviving cells — on the next boot.
+func (e *Engine) SubmitSweep(sw Sweep, priority int, opts ...SubmitOption) (*Batch, error) {
+	o := resolveOptions(opts...)
 	specs, err := sw.Expand()
 	if err != nil {
 		return nil, err
@@ -562,15 +562,12 @@ func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (
 	for i := range specs {
 		specs[i] = e.resolveSpec(specs[i])
 	}
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
-	trace := telemetry.OrNewTraceID(traceID)
-	e.journal.sweepSubmitted(trace, tenant, priority, sw)
+	trace := telemetry.OrNewTraceID(o.trace)
+	e.journal.sweepSubmitted(trace, o.tenant, priority, sw)
 	b := &Batch{
 		eng:     e,
 		TraceID: trace,
-		Tenant:  tenant,
+		Tenant:  o.tenant,
 		specs:   specs,
 		jobs:    make([]*Job, len(specs)),
 	}
@@ -586,7 +583,10 @@ func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (
 			b.jobs[i] = j
 			continue
 		}
-		j, err := e.submit(sp, priority, fmt.Sprintf("%s-c%d", trace, i), tenant, trace, false)
+		cell := o
+		cell.trace = fmt.Sprintf("%s-c%d", trace, i)
+		cell.sweep = trace
+		j, err := e.submitSpec(sp, priority, cell)
 		if err != nil {
 			// A refused sweep was never accepted, so it is not owed a
 			// replay: settle the journal record before surfacing the error.
@@ -601,7 +601,7 @@ func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (
 	e.registerBatch(b)
 	e.watchSweep(b)
 	e.log.Info("engine: sweep submitted",
-		"trace", trace, "sweep", b.ID, "tenant", tenant, "cells", len(specs), "jobs", len(b.unique))
+		"trace", trace, "sweep", b.ID, "tenant", o.tenant, "cells", len(specs), "jobs", len(b.unique))
 	return b, nil
 }
 
@@ -734,13 +734,11 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 				Parallelism: spec.Parallelism,
 				Context:     ctx,
 				TraceID:     j.TraceID,
-				OnRound: func(round, total int) {
+				OnRoundEnd: func(round, total int, rs, re time.Time) {
 					e.rounds.Add(1)
 					e.metrics.rounds.Inc()
 					j.progress(round, total)
-				},
-				OnRoundEnd: func(round, total int, rs, re time.Time) {
-					e.span(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
+					e.sched.recordSpan(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
 				},
 			})
 		})
@@ -758,11 +756,10 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 	// best-effort: consumers already tolerate a missing blob (404 /
 	// skip), so a full disk must not discard a completed run's metrics.
 	if blob, err := model.MarshalBinary(); err == nil {
-		persistStart := time.Now()
-		_ = e.store.PutBlob(hash, blob)
-		j.addPersist(time.Since(persistStart))
-		e.span(j, runSpan, "checkpoint", persistStart, time.Now(),
-			map[string]string{"bytes": fmt.Sprintf("%d", len(blob))})
+		_ = e.persist(j, "checkpoint", map[string]string{"bytes": fmt.Sprintf("%d", len(blob))}, func() error {
+			_ = e.store.PutBlob(hash, blob)
+			return nil
+		})
 	}
 	return res, nil
 }
@@ -820,17 +817,19 @@ func (e *Engine) CompleteRemote(j *Job, res *Result, blob []byte, jobErr error) 
 		if res == nil {
 			return fmt.Errorf("engine: remote completion of job %s carries neither result nor error", j.ID)
 		}
-		persistStart := time.Now()
-		if err := e.store.Put(j.Key, res); err != nil {
+		if err := e.persist(j, "persist", nil, func() error {
+			if err := e.store.Put(j.Key, res); err != nil {
+				return err
+			}
+			if len(blob) > 0 {
+				// Best-effort, like the local path: a full disk must not
+				// discard a completed run's metrics.
+				_ = e.store.PutBlob(j.Key, blob)
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
-		if len(blob) > 0 {
-			// Best-effort, like the local path: a full disk must not
-			// discard a completed run's metrics.
-			_ = e.store.PutBlob(j.Key, blob)
-		}
-		j.addPersist(time.Since(persistStart))
-		e.span(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
 	}
 	e.sched.completeRemote(j, res, jobErr)
 	return nil

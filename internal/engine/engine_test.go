@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -29,6 +31,9 @@ func tinySpec(method string) Spec {
 		Tag:       "engine-test",
 	}
 }
+
+// discardLogger silences an engine's lifecycle log lines.
+func discardLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
 
 func newTestEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()

@@ -70,7 +70,7 @@ func TestJournalCrashRecoveryMidSweep(t *testing.T) {
 
 	sw := Sweep{Base: tinySpec("FedAvg"), Seeds: []SeedSpec{{Seed: 1}, {Seed: 2}, {Seed: 3}, {Seed: 4}}}
 	const trace = "crash-sweep"
-	if _, err := e1.SubmitSweepTraced(sw, 0, trace); err != nil {
+	if _, err := e1.SubmitSweep(sw, 0, WithTrace(trace)); err != nil {
 		t.Fatal(err)
 	}
 	// Live set at crash time: the sweep plus its three uncached cells

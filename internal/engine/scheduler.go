@@ -280,21 +280,16 @@ func (j *Job) progress(round, total int) {
 	j.emitLocked()
 }
 
-// finishLocked moves the job to a terminal state; j.mu must be held.
-func (j *Job) finishLocked(state State, res *Result, err error) {
-	if j.state.Terminal() {
-		return
+// outcome maps a run's error to the job's terminal state.
+func outcome(err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, context.Canceled):
+		return StateCancelled
+	default:
+		return StateFailed
 	}
-	j.state = state
-	j.result = res
-	j.err = err
-	j.finished = time.Now()
-	j.emitLocked()
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	close(j.done)
 }
 
 // Scheduler owns the bounded worker pool and the fair-share queue:
@@ -400,6 +395,33 @@ func (s *Scheduler) recordSpanID(j *Job, id, parent, name string, start, end tim
 	})
 }
 
+// finishLocked moves j to a terminal state; j.mu must be held. The
+// completion is counted, and record (when non-nil) runs with the
+// outcome and j.finished set, before subscribers hear of it and Done()
+// closes: a caller returning from Wait reads counters and lifecycle
+// spans that already include the job. Reports false, recording nothing,
+// when j was already terminal.
+func (s *Scheduler) finishLocked(j *Job, state State, res *Result, err error, record func()) bool {
+	if j.state.Terminal() {
+		return false
+	}
+	j.state = state
+	j.result = res
+	j.err = err
+	j.finished = time.Now()
+	s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
+	if record != nil {
+		record()
+	}
+	j.emitLocked()
+	for _, ch := range j.subs {
+		close(ch)
+	}
+	j.subs = nil
+	close(j.done)
+	return true
+}
+
 // isClosed reports whether the scheduler is draining.
 func (s *Scheduler) isClosed() bool {
 	s.mu.Lock()
@@ -467,11 +489,11 @@ func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenan
 	j.cached = true
 	j.result = res
 	j.finished = j.Created
-	close(j.done)
-	s.mu.Unlock()
 	s.metrics.jobsCompleted.With(string(StateDone), tenant).Inc()
 	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.Created,
 		map[string]string{"state": string(StateDone), "cached": "true", "method": methodLabel(j)})
+	close(j.done)
+	s.mu.Unlock()
 	s.log.Info("engine: job served from cache",
 		"trace", j.TraceID, "job", j.ID, "method", methodLabel(j), "key", key[:min(12, len(key))])
 	return j
@@ -483,9 +505,6 @@ func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenan
 func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string) *Job {
 	s.nextID++
 	s.nextSeq++
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
 	j := &Job{
 		ID:       fmt.Sprintf("job-%d", s.nextID),
 		Key:      key,
@@ -557,13 +576,12 @@ func (s *Scheduler) cancel(id string) error {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.finishLocked(StateCancelled, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
-		finished := j.finished
+		s.finishLocked(j, StateCancelled, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled), func() {
+			s.recordSpan(j, j.rootSpan, "queue", j.Created, j.finished, nil)
+			s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
+				map[string]string{"state": string(StateCancelled)})
+		})
 		j.mu.Unlock()
-		s.recordSpan(j, j.rootSpan, "queue", j.Created, finished, nil)
-		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
-			map[string]string{"state": string(StateCancelled)})
-		s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
 		s.log.Info("engine: job cancelled while queued", "trace", j.TraceID, "job", j.ID)
 		// A deliberate cancel is terminal and must not replay; a cancel
 		// caused by the scheduler draining must.
@@ -658,26 +676,18 @@ func (s *Scheduler) worker() {
 		res, err := j.run(ctx, j)
 		cancel()
 
-		j.mu.Lock()
-		switch {
-		case err == nil:
-			j.finishLocked(StateDone, res, nil)
-		case errors.Is(err, context.Canceled):
-			j.finishLocked(StateCancelled, nil, err)
-		default:
-			j.finishLocked(StateFailed, nil, err)
-		}
-		state := j.state
-		runSec := j.finished.Sub(j.started).Seconds()
-		started, finished, runSpan := j.started, j.finished, j.runSpan
-		j.mu.Unlock()
-		s.recordSpanID(j, runSpan, j.rootSpan, "run", started, finished,
-			map[string]string{"worker": "local", "state": string(state)})
-		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
-			map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
 		s.metrics.running.Dec()
-		s.metrics.runSeconds.With(method).Observe(runSec)
-		s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
+		j.mu.Lock()
+		s.finishLocked(j, outcome(err), res, err, func() {
+			s.metrics.runSeconds.With(method).Observe(j.timingLocked().RunSec)
+			s.recordSpanID(j, j.runSpan, j.rootSpan, "run", j.started, j.finished,
+				map[string]string{"worker": "local", "state": string(j.state)})
+			s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
+				map[string]string{"state": string(j.state), "method": method, "tenant": j.Tenant})
+		})
+		state := j.state
+		runSec := j.timingLocked().RunSec
+		j.mu.Unlock()
 		// Drain cancellations stay live in the journal so the job
 		// re-enqueues on the next boot; every other outcome is terminal.
 		if !(state == StateCancelled && s.isClosed()) {
@@ -807,14 +817,10 @@ func (s *Scheduler) requeueRemote(j *Job) bool {
 	if s.closed {
 		s.mu.Unlock()
 		j.mu.Lock()
-		finished := false
-		if j.state == StateRunning {
-			j.finishLocked(StateCancelled, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
-			finished = true
-		}
+		finished := j.state == StateRunning &&
+			s.finishLocked(j, StateCancelled, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled), nil)
 		j.mu.Unlock()
 		if finished {
-			s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
 			s.release(j)
 		}
 		return false
@@ -853,37 +859,22 @@ func (s *Scheduler) requeueRemote(j *Job) bool {
 // worker's late result (the queue pop skips non-queued jobs). Returns
 // false if the job was already terminal.
 func (s *Scheduler) completeRemote(j *Job, res *Result, jobErr error) bool {
+	method := methodLabel(j)
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if !s.finishLocked(j, outcome(jobErr), res, jobErr, func() {
+		s.metrics.runSeconds.With(method).Observe(j.timingLocked().RunSec)
+		if !j.started.IsZero() {
+			s.recordSpanID(j, j.runSpan, j.rootSpan, "lease", j.started, j.finished,
+				map[string]string{"worker": j.worker, "state": string(j.state)})
+		}
+		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
+			map[string]string{"state": string(j.state), "method": method, "tenant": j.Tenant})
+	}) {
 		j.mu.Unlock()
 		return false
 	}
-	worker := j.worker
-	started := j.started
-	switch {
-	case jobErr == nil:
-		j.finishLocked(StateDone, res, nil)
-	case errors.Is(jobErr, context.Canceled):
-		j.finishLocked(StateCancelled, nil, jobErr)
-	default:
-		j.finishLocked(StateFailed, nil, jobErr)
-	}
-	state := j.state
-	runSec := 0.0
-	if !started.IsZero() {
-		runSec = j.finished.Sub(started).Seconds()
-	}
-	finished, runSpan := j.finished, j.runSpan
+	worker, state, runSec := j.worker, j.state, j.timingLocked().RunSec
 	j.mu.Unlock()
-	method := methodLabel(j)
-	if !started.IsZero() {
-		s.recordSpanID(j, runSpan, j.rootSpan, "lease", started, finished,
-			map[string]string{"worker": worker, "state": string(state)})
-	}
-	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
-		map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
-	s.metrics.runSeconds.With(method).Observe(runSec)
-	s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
 	// Drain cancellations stay live in the journal (same contract as the
 	// local worker loop): the job must re-enqueue on the next boot.
 	if !(state == StateCancelled && s.isClosed()) {

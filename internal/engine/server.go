@@ -574,7 +574,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Adopt the client's X-Request-ID as the job's trace when it passes
 	// validation (minted otherwise), and echo the winning ID back so the
 	// client can grep server logs for it either way.
-	j, err := s.engine.SubmitAs(req.Spec, req.Priority, r.Header.Get("X-Request-ID"), tenantFrom(r))
+	j, err := s.engine.Submit(req.Spec, req.Priority, WithTrace(r.Header.Get("X-Request-ID")), WithTenant(tenantFrom(r)))
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -597,7 +597,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Sweep.Base.Parallelism = req.Parallelism
-	b, err := s.engine.SubmitSweepAs(req.Sweep, req.Priority, r.Header.Get("X-Request-ID"), tenantFrom(r))
+	b, err := s.engine.SubmitSweep(req.Sweep, req.Priority, WithTrace(r.Header.Get("X-Request-ID")), WithTenant(tenantFrom(r)))
 	if err != nil {
 		writeSubmitError(w, err)
 		return

@@ -137,7 +137,7 @@ func TestFairShareScheduling(t *testing.T) {
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	if _, err := e.SubmitFuncAs(FuncKey("gate"), 0, "alice", func(ctx context.Context) (*Result, error) {
+	if _, err := e.SubmitFunc(FuncKey("gate"), 0, func(ctx context.Context) (*Result, error) {
 		close(started)
 		select {
 		case <-gate:
@@ -145,7 +145,7 @@ func TestFairShareScheduling(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}); err != nil {
+	}, WithTenant("alice")); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -163,11 +163,11 @@ func TestFairShareScheduling(t *testing.T) {
 		}
 	}
 	for i := 0; i < 120; i++ {
-		if _, err := e.SubmitFuncAs(FuncKey("alice-"+strconv.Itoa(i)), 0, "alice", ran("alice")); err != nil {
+		if _, err := e.SubmitFunc(FuncKey("alice-"+strconv.Itoa(i)), 0, ran("alice"), WithTenant("alice")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bob, err := e.SubmitFuncAs(FuncKey("bob-single"), 0, "bob", ran("bob"))
+	bob, err := e.SubmitFunc(FuncKey("bob-single"), 0, ran("bob"), WithTenant("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +307,11 @@ func TestServerQueueQuota(t *testing.T) {
 	client := srv.Client()
 
 	started := make(chan struct{})
-	if _, err := e.SubmitFuncAs(FuncKey("quota-gate"), 0, "quota", func(ctx context.Context) (*Result, error) {
+	if _, err := e.SubmitFunc(FuncKey("quota-gate"), 0, func(ctx context.Context) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}); err != nil {
+	}, WithTenant("quota")); err != nil {
 		t.Fatal(err)
 	}
 	<-started

@@ -141,7 +141,7 @@ func RunOverhead(cfg Config) (*OverheadResult, error) {
 	eng := cfg.engine()
 	for _, m := range methods {
 		sp := flSpec(spec.Name, spec.Gen.Seed, split, DefaultLambda, spec.Sizing, m, cfg.Seed, 0, "fig4")
-		job, err := eng.SubmitFresh(sp, 0)
+		job, err := eng.Submit(sp, 0, engine.Fresh())
 		if err != nil {
 			return nil, fmt.Errorf("eval: fig4 %s: %w", m, err)
 		}

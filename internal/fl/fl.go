@@ -412,15 +412,12 @@ type RunConfig struct {
 	// once cancelled; Run then returns the context's error. Rounds in
 	// flight are finished, so determinism of completed rounds is kept.
 	Context context.Context
-	// OnRound, when non-nil, is invoked from the coordinating goroutine
-	// after every completed round with the 1-based round number and the
-	// total round count. It must not block for long: local training of
-	// the next round waits on it.
-	OnRound func(round, total int)
-	// OnRoundEnd, when non-nil, is invoked after OnRound with the round's
-	// wall-clock bounds (sampling through aggregation and eval). It feeds
-	// per-round spans into the engine's trace timeline; the same
-	// non-blocking contract as OnRound applies.
+	// OnRoundEnd, when non-nil, is invoked from the coordinating
+	// goroutine after every completed round with the 1-based round
+	// number, the total round count, and the round's wall-clock bounds
+	// (sampling through aggregation and eval). The engine drives job
+	// progress, round counters and per-round trace spans from it. It must
+	// not block for long: local training of the next round waits on it.
 	OnRoundEnd func(round, total int, start, end time.Time)
 	// Parallelism bounds this run's local-training worker pool; 0 falls
 	// back to Env.Parallelism, then NumCPU. It is a pure scheduling
@@ -586,9 +583,6 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 				}
 			}
 			hist.Stats = append(hist.Stats, rs)
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(round+1, cfg.Rounds)
 		}
 		if cfg.OnRoundEnd != nil {
 			cfg.OnRoundEnd(round+1, cfg.Rounds, roundStart, time.Now())
