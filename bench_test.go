@@ -14,6 +14,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -25,6 +26,7 @@ import (
 	"github.com/pardon-feddg/pardon/internal/finch"
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/nn"
+	"github.com/pardon-feddg/pardon/internal/partition"
 	"github.com/pardon-feddg/pardon/internal/style"
 	"github.com/pardon-feddg/pardon/internal/synth"
 	"github.com/pardon-feddg/pardon/internal/tensor"
@@ -550,6 +552,56 @@ func BenchmarkMicroKernels(b *testing.B) {
 	}
 }
 
+// BenchmarkModelShapeKernels times the two products that dominate
+// training, at the model's first-layer shape (encoder features
+// In=1024 → Hidden=64, batch 32): the forward MatMul 32×1024×64 and
+// the weight-gradient aᵀ@b with k=32 (a 32×1024, b 32×64, out
+// 1024×64). Sub-benchmarks are named <op>/<dtype>/<m>x<k>x<n> and,
+// like BenchmarkMicroKernels, report 2·m·k·n flops through SetBytes.
+func BenchmarkModelShapeKernels(b *testing.B) {
+	const batch, in, hidden = 32, 1024, 64
+	x, w := benchKernelOperands(40, 41, batch, in, hidden)
+	dy := tensor.Randn(rand.New(rand.NewSource(42)), 1, batch, hidden)
+	shapes := []struct {
+		name    string
+		m, k, n int
+		a, bm   *tensor.Tensor
+		f64     func(out, a, bm *tensor.Tensor) error
+		f32     func(out, a, bm []float32)
+	}{
+		{"MatMul", batch, in, hidden, x, w, tensor.MatMulInto,
+			func(out, a, bm []float32) { tensor.MatMulF32(out, a, bm, batch, in, hidden) }},
+		{"ATB", in, batch, hidden, x, dy, tensor.MatMulATBInto,
+			func(out, a, bm []float32) { tensor.MatMulATBF32(out, a, bm, batch, in, hidden) }},
+	}
+	for _, s := range shapes {
+		flops := int64(2) * int64(s.m) * int64(s.k) * int64(s.n)
+		shape := fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n)
+		out := tensor.New(s.m, s.n)
+		b.Run(s.name+"/f64/"+shape, func(b *testing.B) {
+			b.SetBytes(flops)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.f64(out, s.a, s.bm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		a32 := make([]float32, s.a.Len())
+		b32 := make([]float32, s.bm.Len())
+		o32 := make([]float32, s.m*s.n)
+		tensor.NarrowInto(a32, s.a.Data())
+		tensor.NarrowInto(b32, s.bm.Data())
+		b.Run(s.name+"/f32/"+shape, func(b *testing.B) {
+			b.SetBytes(flops)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.f32(o32, a32, b32)
+			}
+		})
+	}
+}
+
 // --- Round-throughput macro-benchmark: one full federated round (client
 // sampling, parallel local training, aggregation) through the kernel
 // layer, the unit of work behind every table and figure ---
@@ -587,3 +639,74 @@ func BenchmarkRoundThroughput(b *testing.B) { benchRoundThroughput(b, nn.F64) }
 // path (float64 master weights, float32 matmuls); the BENCH artifact
 // records both so every SHA carries its own f64-vs-f32 delta.
 func BenchmarkRoundThroughputF32(b *testing.B) { benchRoundThroughput(b, nn.F32) }
+
+// BenchmarkRoundPure is the round of BenchmarkRoundThroughput without
+// its set-up: the scenario, the method's Setup and the initial global
+// model (nn.New, a large share of a one-round fl.Run) are built before
+// the timer starts. Each iteration repeats fl.Run's round 0 on the
+// same global model — client sampling, parallel local training,
+// aggregation and the release of the client updates.
+func BenchmarkRoundPure(b *testing.B) {
+	eng := benchEngine(b)
+	defer eng.Close()
+	spec := engine.Spec{
+		Method: "FedAvg", Dataset: "PACS", GenSeed: 1,
+		Split:  engine.SplitSpec{Name: "bench", Train: []int{0, 1, 2}},
+		Lambda: 0.1, Clients: 8, SampleK: 4, Rounds: 1, PerDomain: 16,
+		Seed: 1, Tag: "round-bench",
+	}
+	sc, err := eng.BuildScenario(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := engine.NewAlgorithm(spec.Method)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := sc.Env
+	global, err := nn.New(env.ModelCfg, env.RNG.Stream("model-init"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := alg.Setup(env, sc.Clients); err != nil {
+		b.Fatal(err)
+	}
+	par := runtime.NumCPU()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids := partition.SampleClients(len(sc.Clients), spec.SampleK, env.RNG.StreamI("client-sampling", 0))
+		parts := make([]*fl.Client, len(ids))
+		for j, id := range ids {
+			parts[j] = sc.Clients[id]
+		}
+		updates := make([]*nn.Model, len(parts))
+		errs := make([]error, len(parts))
+		sem := make(chan struct{}, par)
+		var wg sync.WaitGroup
+		for j, c := range parts {
+			wg.Add(1)
+			go func(j int, c *fl.Client) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				updates[j], errs[j] = alg.LocalTrain(env, c, global, 0)
+			}(j, c)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		next, err := alg.Aggregate(env, global, parts, updates, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, u := range updates {
+			if u != next {
+				u.Release()
+			}
+		}
+	}
+}

@@ -70,3 +70,24 @@ func MatMulABTF32WithSplits(out, a, b []float32, k, n int, bounds []int) {
 		abtPanel(a, b, out, k, n, bounds[i], bounds[i+1])
 	}
 }
+
+// SIMD reports whether the panels run the AVX2 tiles on this CPU.
+var SIMD = simd
+
+// MatMulPanelAndStrips computes a@b twice over all m rows: through the
+// production panel (SIMD tiles where the CPU has them) and through the
+// Go strips alone, the tiles' reference.
+func MatMulPanelAndStrips[T float32 | float64](a, b []T, m, k, n int) (panel, strips []T) {
+	panel, strips = make([]T, m*n), make([]T, m*n)
+	mmPanel(a, b, panel, k, n, 0, m)
+	mmStrips(a, b, strips, k, n, 0, m)
+	return panel, strips
+}
+
+// MatMulATBPanelAndStrips is MatMulPanelAndStrips for aᵀ@b.
+func MatMulATBPanelAndStrips[T float32 | float64](a, b []T, k, m, n int) (panel, strips []T) {
+	panel, strips = make([]T, m*n), make([]T, m*n)
+	atbPanel(a, b, panel, k, m, n, 0, m)
+	atbStrips(a, b, strips, k, m, n, 0, m)
+	return panel, strips
+}

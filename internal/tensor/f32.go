@@ -15,6 +15,14 @@ package tensor
 
 import "fmt"
 
+// checkDims panics on a negative dimension: a product of two negatives
+// can pass checkLen, and the kernels index by the dims.
+func checkDims(name string, d0, d1, d2 int) {
+	if d0 < 0 || d1 < 0 || d2 < 0 {
+		panic(fmt.Sprintf("tensor: %s negative dims (%d, %d, %d)", name, d0, d1, d2))
+	}
+}
+
 func checkLen(name string, got, want int) {
 	if got != want {
 		panic(fmt.Sprintf("tensor: %s operand length %d, want %d", name, got, want))
@@ -24,6 +32,7 @@ func checkLen(name string, got, want int) {
 // MatMulF32 computes out = a@b for a of shape (m,k) and b of shape
 // (k,n), overwriting out (shape (m,n)). out must not alias a or b.
 func MatMulF32(out, a, b []float32, m, k, n int) {
+	checkDims("matmulF32", m, k, n)
 	checkLen("matmulF32 a", len(a), m*k)
 	checkLen("matmulF32 b", len(b), k*n)
 	checkLen("matmulF32 out", len(out), m*n)
@@ -33,6 +42,7 @@ func MatMulF32(out, a, b []float32, m, k, n int) {
 // MatMulATBF32 computes out = aᵀ@b for a of shape (k,m) and b of shape
 // (k,n), overwriting out (shape (m,n)). out must not alias a or b.
 func MatMulATBF32(out, a, b []float32, k, m, n int) {
+	checkDims("matmulATBF32", k, m, n)
 	checkLen("matmulATBF32 a", len(a), k*m)
 	checkLen("matmulATBF32 b", len(b), k*n)
 	checkLen("matmulATBF32 out", len(out), m*n)
@@ -42,6 +52,7 @@ func MatMulATBF32(out, a, b []float32, k, m, n int) {
 // MatMulABTF32 computes out = a@bᵀ for a of shape (m,k) and b of shape
 // (n,k), overwriting out (shape (m,n)). out must not alias a or b.
 func MatMulABTF32(out, a, b []float32, m, k, n int) {
+	checkDims("matmulABTF32", m, k, n)
 	checkLen("matmulABTF32 a", len(a), m*k)
 	checkLen("matmulABTF32 b", len(b), n*k)
 	checkLen("matmulABTF32 out", len(out), m*n)

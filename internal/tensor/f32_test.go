@@ -73,12 +73,33 @@ func randF32(r *rand.Rand, nelem int) []float32 {
 	return s
 }
 
+// randEdgeF32 is randF32 with randEdgeMatrix's edge values: about one
+// entry in sixteen subnormal, and one to three ±Inf or NaN.
+func randEdgeF32(r *rand.Rand, nelem int) []float32 {
+	s := randF32(r, nelem)
+	for i := range s {
+		if s[i] != 0 && r.Intn(16) == 0 {
+			s[i] *= 1e-39 // subnormal
+		}
+	}
+	specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for n := 1 + r.Intn(3); n > 0 && len(s) > 0; n-- {
+		s[r.Intn(len(s))] = specials[r.Intn(len(specials))]
+	}
+	return s
+}
+
+// f32BitsEqual is bitsEqual for float32 slices: equal bits, except
+// that any NaN matches any NaN.
 func f32BitsEqual(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
 	}
 	for i := range got {
+		if got[i] != got[i] && want[i] != want[i] {
+			continue
+		}
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("%s: element %d = %x, want %x (%g vs %g)",
 				name, i, math.Float32bits(got[i]), math.Float32bits(want[i]), got[i], want[i])
@@ -88,22 +109,23 @@ func f32BitsEqual(t *testing.T, name string, got, want []float32) {
 
 // TestF32KernelsBitIdenticalToReference: the f32 determinism property —
 // blocked/parallel float32 kernels reproduce the scalar float32
-// reference bit for bit across the same shape table as float64.
+// reference bit for bit across the same shape table and the same kind
+// of edge-value data as float64.
 func TestF32KernelsBitIdenticalToReference(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, s := range kernelShapes {
-		a := randF32(r, s.m*s.k)
-		b := randF32(r, s.k*s.n)
+		a := randEdgeF32(r, s.m*s.k)
+		b := randEdgeF32(r, s.k*s.n)
 		out := make([]float32, s.m*s.n)
 
 		tensor.MatMulF32(out, a, b, s.m, s.k, s.n)
 		f32BitsEqual(t, "matmulF32", out, mmRefF32(a, b, s.m, s.k, s.n))
 
-		at := randF32(r, s.k*s.m)
+		at := randEdgeF32(r, s.k*s.m)
 		tensor.MatMulATBF32(out, at, b, s.k, s.m, s.n)
 		f32BitsEqual(t, "matmulATBF32", out, atbRefF32(at, b, s.k, s.m, s.n))
 
-		bt := randF32(r, s.n*s.k)
+		bt := randEdgeF32(r, s.n*s.k)
 		tensor.MatMulABTF32(out, a, bt, s.m, s.k, s.n)
 		f32BitsEqual(t, "matmulABTF32", out, abtRefF32(a, bt, s.m, s.k, s.n))
 	}
@@ -115,25 +137,20 @@ func TestF32SplitInvariant(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{37, 41, 23},
 		{37, 512, 520}, // large streamed b panel
+		{45, 33, 41},   // SIMD tiles cut by splits that are not multiples of 4
 	} {
 		r := rand.New(rand.NewSource(22))
 		m, k, n := s.m, s.k, s.n
-		a := randF32(r, m*k)
-		b := randF32(r, k*n)
-		at := randF32(r, k*m)
-		bt := randF32(r, n*k)
+		a := randEdgeF32(r, m*k)
+		b := randEdgeF32(r, k*n)
+		at := randEdgeF32(r, k*m)
+		bt := randEdgeF32(r, n*k)
 		out := make([]float32, m*n)
 
-		splits := [][]int{
-			{0, m},
-			{0, 1, m},
-			{0, m - 1, m},
-			{0, 5, 11, 12, 30, m},
-		}
 		wantMM := mmRefF32(a, b, m, k, n)
 		wantATB := atbRefF32(at, b, k, m, n)
 		wantABT := abtRefF32(a, bt, m, k, n)
-		for _, bounds := range splits {
+		for _, bounds := range splitCases(m) {
 			tensor.MatMulF32WithSplits(out, a, b, k, n, bounds)
 			f32BitsEqual(t, "matmulF32 split", out, wantMM)
 			tensor.MatMulATBF32WithSplits(out, at, b, k, m, n, bounds)
@@ -246,6 +263,11 @@ func TestF32KernelShapePanics(t *testing.T) {
 	assertPanics(t, "bad out", func() { tensor.MatMulF32(out[:3], a, b, 2, 2, 2) })
 	assertPanics(t, "bad atb", func() { tensor.MatMulATBF32(out, a[:1], b, 2, 2, 2) })
 	assertPanics(t, "bad abt", func() { tensor.MatMulABTF32(out, a, b[:1], 2, 2, 2) })
+	// Two negative dims multiply to a length that checkLen would accept.
+	neg := make([]float32, 6)
+	assertPanics(t, "negative matmul", func() { tensor.MatMulF32(neg[:4], neg, neg, -2, -3, -2) })
+	assertPanics(t, "negative atb", func() { tensor.MatMulATBF32(neg[:4], neg, neg, -3, -2, -2) })
+	assertPanics(t, "negative abt", func() { tensor.MatMulABTF32(neg[:4], neg, neg, -2, -3, -2) })
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

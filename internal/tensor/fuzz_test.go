@@ -15,9 +15,12 @@ import (
 // (the determinism contract that lets Parallelism stay outside the
 // content-address), and the float32 kernels must reproduce the scalar
 // float32 loops exactly (same loop order, same zero-skip semantics).
+// The data holds ±0, subnormals, ±Inf and NaN (randEdgeMatrix), and
+// any NaN matches any NaN.
 //
 // Shapes are folded into ranges that cross every blocking boundary: the
-// 2×4 register strips' ragged tails on all axes, the serial-vs-pool
+// 2×4 register strips' ragged tails on all axes, the SIMD tiles' 4-row
+// groups and 8- or 16-column widths, the serial-vs-pool
 // work threshold, and the per-worker row split. The checked-in corpus
 // under testdata/fuzz pins those edges; CI additionally runs a
 // fixed-budget fuzz smoke so new mutations keep probing them.
@@ -34,8 +37,8 @@ func FuzzMatMulKernels(f *testing.F) {
 		n := int(n16)%640 + 1
 		r := rand.New(rand.NewSource(seed))
 
-		a := randMatrix(r, m, k)
-		b := randMatrix(r, k, n)
+		a := randEdgeMatrix(r, m, k)
+		b := randEdgeMatrix(r, k, n)
 		want, err := tensor.MatMulSerial(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +49,7 @@ func FuzzMatMulKernels(f *testing.F) {
 		}
 		bitsEqual(t, "matmul", got, want)
 
-		at := randMatrix(r, k, m) // (k,m) for aᵀ@b
+		at := randEdgeMatrix(r, k, m) // (k,m) for aᵀ@b
 		wantATB, err := tensor.MatMulATBSerial(at, b)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +60,7 @@ func FuzzMatMulKernels(f *testing.F) {
 		}
 		bitsEqual(t, "matmulATB", gotATB, wantATB)
 
-		bt := randMatrix(r, n, k) // (n,k) for a@bᵀ
+		bt := randEdgeMatrix(r, n, k) // (n,k) for a@bᵀ
 		wantABT, err := tensor.MatMulABTSerial(a, bt)
 		if err != nil {
 			t.Fatal(err)
@@ -68,17 +71,17 @@ func FuzzMatMulKernels(f *testing.F) {
 		}
 		bitsEqual(t, "matmulABT", gotABT, wantABT)
 
-		a32 := randF32(r, m*k)
-		b32 := randF32(r, k*n)
+		a32 := randEdgeF32(r, m*k)
+		b32 := randEdgeF32(r, k*n)
 		out32 := make([]float32, m*n)
 		tensor.MatMulF32(out32, a32, b32, m, k, n)
 		f32BitsEqual(t, "matmulF32", out32, mmRefF32(a32, b32, m, k, n))
 
-		at32 := randF32(r, k*m)
+		at32 := randEdgeF32(r, k*m)
 		tensor.MatMulATBF32(out32, at32, b32, k, m, n)
 		f32BitsEqual(t, "matmulATBF32", out32, atbRefF32(at32, b32, k, m, n))
 
-		bt32 := randF32(r, n*k)
+		bt32 := randEdgeF32(r, n*k)
 		tensor.MatMulABTF32(out32, a32, bt32, m, k, n)
 		f32BitsEqual(t, "matmulABTF32", out32, abtRefF32(a32, bt32, m, k, n))
 	})

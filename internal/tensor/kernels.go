@@ -9,12 +9,13 @@
 //     while b streams contiguously. Each pool task owns a disjoint panel,
 //     so workers never write the same element and need no synchronization
 //     beyond the completion WaitGroup.
-//   - Register-blocked micro-kernels. Inside each panel the inner loops
-//     walk 2-row × 4-column output strips with manually unrolled
-//     accumulators in locals (microkernel.go) — the widest block that
-//     still fits amd64's 16 vector registers — with the scalar row loop
-//     as the tail and fallback for ragged edges. The float32 entry
-//     points (f32.go) instantiate the same generic strip bodies.
+//   - Register-blocked micro-kernels (microkernel.go). Inside each panel
+//     MatMul and MatMulATB run AVX2 4-row tiles with ymm accumulators
+//     where the CPU has AVX2; the rest — ragged edges, MatMulABT, and
+//     every product on other CPUs — walks 2-row × 4-column Go strips
+//     with manually unrolled accumulators in locals, with the scalar
+//     row loop as their tail. The float32 entry points (f32.go)
+//     instantiate the same generic bodies and their own tile.
 //   - Fixed accumulation order. Every output element accumulates its k terms
 //     in ascending-p order no matter how rows are split across workers, so
 //     results are bit-identical to the serial reference kernels at any
@@ -104,12 +105,13 @@ func pool() chan kernelTask {
 	return poolTasks
 }
 
-// parallelRows splits [0,rows) into one contiguous chunk per worker and
-// runs body on each. The caller always executes the final chunk itself,
-// and submission never blocks: when the pool is saturated (other kernel
-// calls in flight) the chunk runs inline on the caller, so progress is
-// guaranteed and nested deadlock is impossible. Row ownership is disjoint,
-// so body invocations are data-race free by construction.
+// parallelRows splits [0,rows) into at most one contiguous chunk per
+// worker and runs body on each. The caller always executes the final
+// chunk itself, and submission never blocks: when the pool is saturated
+// (other kernel calls in flight) the chunk runs inline on the caller, so
+// progress is guaranteed and nested deadlock is impossible. Row
+// ownership is disjoint, so body invocations are data-race free by
+// construction.
 func parallelRows(rows int, body func(lo, hi int)) {
 	ch := pool()
 	tasks := poolSize
@@ -121,7 +123,9 @@ func parallelRows(rows int, body func(lo, hi int)) {
 		kmetrics.inline.Inc()
 		return
 	}
-	chunk := (rows + tasks - 1) / tasks
+	// Chunks are whole 4-row groups, so a split panel keeps its SIMD
+	// tiles; the split never changes a bit of the result.
+	chunk := ((rows+tasks-1)/tasks + 3) &^ 3
 	var wg sync.WaitGroup
 	lo := 0
 	for lo+chunk < rows {
@@ -145,13 +149,13 @@ func parallelRows(rows int, body func(lo, hi int)) {
 //
 // Each computes output rows [lo,hi) only — the panel is the cache tile,
 // and inside the panel the register-blocked micro-kernels in
-// microkernel.go walk 2×4 output strips (gen-1's scalar row loops
-// survive as the strip tails). Gen-1 benchmarked scalar k-/n-axis cache
-// tiling and rejected it; gen-2's *register* tiling is a different
-// trade — it amortizes each a/b load over up to 4 multiply-adds and
-// reuses each b load across two rows — and wins at every measured
-// shape (see DESIGN.md §5 for numbers and the tile shapes that were
-// measured and rejected). The panel scheme still makes every
+// microkernel.go walk AVX2 4-row tiles and 2×4 Go strips (gen-1's
+// scalar row loops survive as the strip tails). Gen-1 benchmarked
+// scalar k-/n-axis cache tiling and rejected it; *register* tiling is
+// a different trade — it amortizes each a/b load over several
+// multiply-adds and reuses each b load across rows — and wins at every
+// measured shape (see DESIGN.md §5 for numbers and the tile shapes
+// that were measured and rejected). The panel scheme still makes every
 // output element accumulate its p terms in ascending order no matter
 // how rows are split across workers, so results are bit-identical to
 // the serial reference at any parallelism — the property that keeps
@@ -239,6 +243,10 @@ func runMatMulABT[T number](a, b, out []T, m, k, n int) {
 }
 
 // --- shape validation shared by the public entry points ---
+//
+// The dims checks are the entry guard of the unchecked SIMD tiles: they
+// admit only non-negative dims, and a Tensor built by New, FromSlice or
+// Reshape with such a shape holds exactly the product of its dims.
 
 func matMulDims(a, b *Tensor) (m, k, n int, err error) {
 	if a.Dims() != 2 || b.Dims() != 2 {
@@ -248,6 +256,9 @@ func matMulDims(a, b *Tensor) (m, k, n int, err error) {
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
 		return 0, 0, 0, fmt.Errorf("tensor: matmul inner dims %d vs %d", k, k2)
+	}
+	if m < 0 || k < 0 || n < 0 {
+		return 0, 0, 0, fmt.Errorf("tensor: matmul negative dims in %v and %v", a.shape, b.shape)
 	}
 	return m, k, n, nil
 }
@@ -261,6 +272,9 @@ func matMulATBDims(a, b *Tensor) (k, m, n int, err error) {
 	if k != k2 {
 		return 0, 0, 0, fmt.Errorf("tensor: matmulATB outer dims %d vs %d", k, k2)
 	}
+	if m < 0 || k < 0 || n < 0 {
+		return 0, 0, 0, fmt.Errorf("tensor: matmulATB negative dims in %v and %v", a.shape, b.shape)
+	}
 	return k, m, n, nil
 }
 
@@ -272,6 +286,9 @@ func matMulABTDims(a, b *Tensor) (m, k, n int, err error) {
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
 		return 0, 0, 0, fmt.Errorf("tensor: matmulABT inner dims %d vs %d", k, k2)
+	}
+	if m < 0 || k < 0 || n < 0 {
+		return 0, 0, 0, fmt.Errorf("tensor: matmulABT negative dims in %v and %v", a.shape, b.shape)
 	}
 	return m, k, n, nil
 }

@@ -25,6 +25,31 @@ func randMatrix(r *rand.Rand, rows, cols int) *tensor.Tensor {
 	return t
 }
 
+// randEdgeMatrix is randMatrix plus the values the zero gate exists
+// for: about one entry in sixteen is subnormal, and one to three
+// entries are ±Inf or NaN. A kernel that adds 0·b instead of skipping
+// the term turns a ±0 a element against an Inf/NaN b element into NaN,
+// so only data like this can tell a gated kernel from an ungated one.
+// The specials are few so most outputs stay finite.
+func randEdgeMatrix(r *rand.Rand, rows, cols int) *tensor.Tensor {
+	t := randMatrix(r, rows, cols)
+	d := t.Data()
+	for i := range d {
+		if d[i] != 0 && r.Intn(16) == 0 {
+			d[i] *= 1e-310 // subnormal
+		}
+	}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for n := 1 + r.Intn(3); n > 0 && len(d) > 0; n-- {
+		d[r.Intn(len(d))] = specials[r.Intn(len(specials))]
+	}
+	return t
+}
+
+// bitsEqual requires equal bits element by element, except that any
+// NaN matches any NaN: amd64 keeps the payload of the first operand of
+// a NaN+NaN or NaN·NaN and Go does not fix operand order, so payloads
+// are not part of the kernels' contract.
 func bitsEqual(t *testing.T, name string, got, want *tensor.Tensor) {
 	t.Helper()
 	if !tensor.SameShape(got, want) {
@@ -32,6 +57,9 @@ func bitsEqual(t *testing.T, name string, got, want *tensor.Tensor) {
 	}
 	gd, wd := got.Data(), want.Data()
 	for i := range gd {
+		if math.IsNaN(gd[i]) && math.IsNaN(wd[i]) {
+			continue
+		}
 		if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
 			t.Fatalf("%s: element %d = %x, want %x (%g vs %g)",
 				name, i, math.Float64bits(gd[i]), math.Float64bits(wd[i]), gd[i], wd[i])
@@ -64,16 +92,33 @@ var kernelShapes = []struct{ m, k, n int }{
 	{15, 2, 17},
 	{11, 513, 520}, // large panels with odd row count
 	{24, 300, 875}, // large panels with n%4 ≠ 0 tails
+	// SIMD tile edges: 4-row groups with 1–3 rows left over, W=8 (f64)
+	// and W=16 (f32) column tiles with 1, 7, 9 or 15 columns left over,
+	// and k of 0, 1, 2 and 33.
+	{5, 33, 17},  // m%4=1; n%8=1, n%16=1
+	{6, 2, 23},   // m%4=2; n%8=7, n%16=7
+	{7, 1, 25},   // m%4=3; n%8=1, n%16=9
+	{13, 33, 31}, // m%4=1; n%8=7, n%16=15
+	{10, 0, 41},  // k=0; n%8=1, n%16=9
+	{4, 0, 16},   // k=0 over whole tiles
+	{11, 2, 47},  // m%4=3; n%8=7, n%16=15
+	{9, 1, 9},    // one tile plus one column
+	{8, 33, 15},  // whole row groups, f64 tile plus 7, no f32 tile
+	// The model's first layer (In=1024 → Hidden=64, batch 32): the
+	// forward product, and with aᵀ@b the weight gradient (k = 32).
+	{32, 1024, 64},
+	{1024, 32, 64},
 }
 
 // TestKernelsBitIdenticalToSerial is the core determinism property: the
 // blocked (and, above the threshold, parallel) kernels must reproduce the
-// naive serial reference bit for bit across odd shapes.
+// naive serial reference bit for bit across odd shapes, on data holding
+// ±0, subnormals, ±Inf and NaN.
 func TestKernelsBitIdenticalToSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, s := range kernelShapes {
-		a := randMatrix(r, s.m, s.k)
-		b := randMatrix(r, s.k, s.n)
+		a := randEdgeMatrix(r, s.m, s.k)
+		b := randEdgeMatrix(r, s.k, s.n)
 
 		want, err := tensor.MatMulSerial(a, b)
 		if err != nil {
@@ -85,7 +130,7 @@ func TestKernelsBitIdenticalToSerial(t *testing.T) {
 		}
 		bitsEqual(t, "matmul", got, want)
 
-		at := randMatrix(r, s.k, s.m) // (k,m) for aᵀ@b
+		at := randEdgeMatrix(r, s.k, s.m) // (k,m) for aᵀ@b
 		wantATB, err := tensor.MatMulATBSerial(at, b)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +141,7 @@ func TestKernelsBitIdenticalToSerial(t *testing.T) {
 		}
 		bitsEqual(t, "matmulATB", gotATB, wantATB)
 
-		bt := randMatrix(r, s.n, s.k) // (n,k) for a@bᵀ
+		bt := randEdgeMatrix(r, s.n, s.k) // (n,k) for a@bᵀ
 		wantABT, err := tensor.MatMulABTSerial(a, bt)
 		if err != nil {
 			t.Fatal(err)
@@ -116,23 +161,23 @@ func TestKernelsSplitInvariant(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{37, 41, 23},   // 2×4 strips with ragged tails on both axes
 		{37, 512, 520}, // large streamed b panel (k·n past L2)
+		{45, 33, 41},   // SIMD tiles cut by splits that are not multiples of 4
 	} {
 		t.Run("", func(t *testing.T) { testSplitInvariant(t, s.m, s.k, s.n) })
 	}
 }
 
-func testSplitInvariant(t *testing.T, m, k, n int) {
-	r := rand.New(rand.NewSource(12))
-	a := randMatrix(r, m, k)
-	b := randMatrix(r, k, n)
-	at := randMatrix(r, k, m)
-	bt := randMatrix(r, n, k)
-
-	splits := [][]int{
+// splitCases are the row partitions the split tests apply. Most bounds
+// are not multiples of 4, so panels start and end inside the SIMD
+// tiles' 4-row groups and split a group between Go strips and tiles.
+func splitCases(m int) [][]int {
+	return [][]int{
 		{0, m},
 		{0, 1, m},
 		{0, m - 1, m},
 		{0, 5, 11, 12, 30, m},
+		{0, 3, 6, 13, 14, 27, m},
+		{0, 2, 9, 15, 21, m - 2, m},
 		func() []int { // one row per task
 			s := make([]int, m+1)
 			for i := range s {
@@ -141,11 +186,19 @@ func testSplitInvariant(t *testing.T, m, k, n int) {
 			return s
 		}(),
 	}
+}
+
+func testSplitInvariant(t *testing.T, m, k, n int) {
+	r := rand.New(rand.NewSource(12))
+	a := randEdgeMatrix(r, m, k)
+	b := randEdgeMatrix(r, k, n)
+	at := randEdgeMatrix(r, k, m)
+	bt := randEdgeMatrix(r, n, k)
 
 	wantMM, _ := tensor.MatMulSerial(a, b)
 	wantATB, _ := tensor.MatMulATBSerial(at, b)
 	wantABT, _ := tensor.MatMulABTSerial(a, bt)
-	for _, bounds := range splits {
+	for _, bounds := range splitCases(m) {
 		got, err := tensor.MatMulWithSplits(a, b, bounds)
 		if err != nil {
 			t.Fatal(err)
@@ -161,6 +214,34 @@ func testSplitInvariant(t *testing.T, m, k, n int) {
 			t.Fatal(err)
 		}
 		bitsEqual(t, "matmulABT split", got, wantABT)
+	}
+}
+
+// TestSIMDTilesMatchGoStrips compares the production panels against the
+// Go strips alone on random shapes in both dtypes, with edge-value data.
+// On a CPU without AVX2 both sides run the strips and the test is
+// trivially true; the shape table and the fuzzer check both against the
+// scalar references either way.
+func TestSIMDTilesMatchGoStrips(t *testing.T) {
+	if !tensor.SIMD {
+		t.Log("no AVX2 on this CPU: panels and strips are the same code")
+	}
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		m, k, n := 1+r.Intn(24), r.Intn(40), 1+r.Intn(72)
+		a := randEdgeMatrix(r, m, k).Data()
+		b := randEdgeMatrix(r, k, n).Data()
+		at := randEdgeMatrix(r, k, m).Data()
+		panel, strips := tensor.MatMulPanelAndStrips(a, b, m, k, n)
+		bitsEqual(t, "matmul tiles", tensor.MustFromSlice(panel, m, n), tensor.MustFromSlice(strips, m, n))
+		panel, strips = tensor.MatMulATBPanelAndStrips(at, b, k, m, n)
+		bitsEqual(t, "matmulATB tiles", tensor.MustFromSlice(panel, m, n), tensor.MustFromSlice(strips, m, n))
+
+		a32, b32, at32 := randEdgeF32(r, m*k), randEdgeF32(r, k*n), randEdgeF32(r, k*m)
+		p32, s32 := tensor.MatMulPanelAndStrips(a32, b32, m, k, n)
+		f32BitsEqual(t, "matmulF32 tiles", p32, s32)
+		p32, s32 = tensor.MatMulATBPanelAndStrips(at32, b32, k, m, n)
+		f32BitsEqual(t, "matmulATBF32 tiles", p32, s32)
 	}
 }
 

@@ -40,9 +40,9 @@ func New(shape ...int) *Tensor {
 // FromSlice wraps data in a tensor of the given shape. The data is NOT
 // copied; the caller must not alias it afterwards unless intended.
 func FromSlice(data []float64, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, s := range shape {
-		n *= s
+	n, err := numElems(shape)
+	if err != nil {
+		return nil, err
 	}
 	if n != len(data) {
 		return nil, fmt.Errorf("tensor: data length %d does not match shape %v (=%d)", len(data), shape, n)
@@ -50,6 +50,19 @@ func FromSlice(data []float64, shape ...int) (*Tensor, error) {
 	cp := make([]int, len(shape))
 	copy(cp, shape)
 	return &Tensor{shape: cp, data: data}, nil
+}
+
+// numElems returns the element count of shape, rejecting negative
+// dimensions: a product of negatives can match a real length.
+func numElems(shape []int) (int, error) {
+	n := 1
+	for _, s := range shape {
+		if s < 0 {
+			return 0, fmt.Errorf("tensor: negative dimension in shape %v", shape)
+		}
+		n *= s
+	}
+	return n, nil
 }
 
 // MustFromSlice is FromSlice that panics on shape mismatch. Use only with
@@ -113,9 +126,9 @@ func (t *Tensor) Clone() *Tensor {
 
 // Reshape returns a view of t with a new shape covering the same elements.
 func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n := 1
-	for _, s := range shape {
-		n *= s
+	n, err := numElems(shape)
+	if err != nil {
+		return nil, err
 	}
 	if n != len(t.data) {
 		return nil, fmt.Errorf("tensor: cannot reshape %v (=%d elems) to %v (=%d elems)", t.shape, len(t.data), shape, n)

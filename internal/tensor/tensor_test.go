@@ -37,6 +37,38 @@ func TestFromSlice(t *testing.T) {
 	}
 }
 
+// TestNegativeDimsRejected: a shape with negative dimensions must be
+// refused everywhere a shape enters, even when the product of the dims
+// matches the data length.
+func TestNegativeDimsRejected(t *testing.T) {
+	neg := tensor.New(-2, -3) // New clamps the storage to 0 elements
+	negT := tensor.New(-3, -2)
+	for _, c := range []struct {
+		name string
+		f    func() error
+	}{
+		{"FromSlice -2,-3", func() error { _, err := tensor.FromSlice(make([]float64, 6), -2, -3); return err }},
+		{"FromSlice -1,0", func() error { _, err := tensor.FromSlice(nil, -1, 0); return err }},
+		{"FromSlice -6", func() error { _, err := tensor.FromSlice(make([]float64, 6), -6); return err }},
+		{"Reshape -4,-3", func() error { _, err := tensor.New(4, 3).Reshape(-4, -3); return err }},
+		{"Reshape 0,-1", func() error { _, err := tensor.New(0).Reshape(0, -1); return err }},
+		{"MatMul", func() error { _, err := tensor.MatMul(neg, negT); return err }},
+		{"MatMulSerial", func() error { _, err := tensor.MatMulSerial(neg, negT); return err }},
+		{"MatMulInto", func() error { return tensor.MatMulInto(tensor.New(0, 0), neg, negT) }},
+		{"MatMulATB", func() error { _, err := tensor.MatMulATB(negT, negT); return err }},
+		{"MatMulATBInto", func() error { return tensor.MatMulATBInto(tensor.New(0, 0), negT, negT) }},
+		{"MatMulABT", func() error { _, err := tensor.MatMulABT(neg, neg); return err }},
+		{"MatMulABTInto", func() error { return tensor.MatMulABTInto(tensor.New(0, 0), neg, neg) }},
+	} {
+		if err := c.f(); err == nil {
+			t.Errorf("%s: negative dims accepted", c.name)
+		}
+	}
+	if _, err := tensor.FromSlice(nil, 0, 3); err != nil {
+		t.Errorf("zero dims rejected: %v", err)
+	}
+}
+
 func TestSetAt(t *testing.T) {
 	x := tensor.New(2, 2, 2)
 	x.Set(5, 1, 0, 1)
