@@ -9,8 +9,8 @@
 // run (warm scenario caches), while an idle worker steals any queued
 // work rather than sit out its shard. A lease whose heartbeats stop —
 // worker crash, network partition — expires and the job requeues onto
-// the survivors; lease edges are journaled, so a coordinator restart
-// replays in-flight assignments as requeues. Worker progress merges
+// the survivors; every accepted job is journaled, so a coordinator
+// restart re-enqueues in-flight assignments. Worker progress merges
 // into the job's normal event stream: an SSE subscriber cannot tell a
 // leased cell from a local one.
 //
@@ -110,9 +110,7 @@ type Coordinator struct {
 	reaperWG sync.WaitGroup
 }
 
-// NewCoordinator starts a coordinator over the engine. Lease edges the
-// engine's journal carried across the last restart are accounted as
-// requeues (reason "boot") — replay already re-enqueued their jobs.
+// NewCoordinator starts a coordinator over the engine.
 func NewCoordinator(eng *engine.Engine, opts Options) *Coordinator {
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
@@ -131,11 +129,6 @@ func NewCoordinator(eng *engine.Engine, opts Options) *Coordinator {
 		workers: map[string]*workerState{},
 		leases:  map[string]*leaseState{},
 		stop:    make(chan struct{}),
-	}
-	for key, worker := range eng.BootLeases() {
-		c.m.requeued.With("boot").Inc()
-		c.log.Info("dist: boot replay requeued leased job",
-			"key", key[:min(12, len(key))], "worker", worker)
 	}
 	c.reaperWG.Add(1)
 	go c.reaper()
@@ -305,9 +298,7 @@ func (c *Coordinator) settleLeaseStats(ls *leaseState) {
 	if ls.granted.IsZero() {
 		return
 	}
-	sec := time.Since(ls.granted).Seconds()
-	c.stats.observeLease(ls.workerName, sec)
-	c.m.leaseSeconds.With(ls.workerName).Observe(sec)
+	c.m.leaseSeconds.With(ls.workerName).Observe(time.Since(ls.granted).Seconds())
 }
 
 // checkStragglers re-evaluates the fleet's straggler verdicts (reaper
@@ -446,15 +437,15 @@ func (c *Coordinator) Complete(workerID, jobID string, req engine.LeaseCompleteR
 		}
 		return nil
 	case req.Cancelled:
-		err := c.eng.CompleteRemote(ls.job, nil, nil, fmt.Errorf("dist: worker %s confirmed cancel: %w", ls.workerName, context.Canceled))
+		err := c.eng.CompleteRemote(ls.job, nil, fmt.Errorf("dist: worker %s confirmed cancel: %w", ls.workerName, context.Canceled))
 		c.m.completed.With(string(engine.StateCancelled)).Inc()
 		return err
 	case req.Error != "":
-		err := c.eng.CompleteRemote(ls.job, nil, nil, fmt.Errorf("dist: worker %s: %s", ls.workerName, req.Error))
+		err := c.eng.CompleteRemote(ls.job, nil, fmt.Errorf("dist: worker %s: %s", ls.workerName, req.Error))
 		c.m.completed.With(string(engine.StateFailed)).Inc()
 		return err
 	case req.Result != nil:
-		if err := c.eng.CompleteRemote(ls.job, req.Result, nil, nil); err != nil {
+		if err := c.eng.CompleteRemote(ls.job, req.Result, nil); err != nil {
 			return err
 		}
 		c.m.completed.With(string(engine.StateDone)).Inc()
@@ -577,7 +568,7 @@ func (c *Coordinator) reaper() {
 		for _, v := range victims {
 			c.settleLeaseStats(v.ls)
 			if v.ls.cancelled {
-				_ = c.eng.CompleteRemote(v.ls.job, nil, nil,
+				_ = c.eng.CompleteRemote(v.ls.job, nil,
 					fmt.Errorf("dist: job cancelled while leased to lost worker %s: %w", v.ls.workerName, context.Canceled))
 				c.m.completed.With(string(engine.StateCancelled)).Inc()
 				continue

@@ -159,13 +159,6 @@ type Engine struct {
 	batches    map[string]*Batch
 	batchOrder []string
 	nextBatch  int64
-
-	// bootLeases are the lease edges (job content-address → worker) that
-	// were live in the journal at boot: jobs a previous coordinator
-	// process had assigned to remote workers when it died. Replay has
-	// already re-enqueued the jobs; the coordinator reads this once to
-	// account for the implicit requeues.
-	bootLeases map[string]string
 }
 
 // New opens an Engine. A disk-backed engine (Options.CacheDir set)
@@ -244,13 +237,6 @@ func New(opts Options) (*Engine, error) {
 func (e *Engine) replayJournal() {
 	if e.journal == nil {
 		return
-	}
-	// Lease edges from the previous life are stale: their workers will
-	// re-register and re-pull. Capture them for the coordinator's requeue
-	// accounting, then sever them so the replayed jobs start unleased.
-	e.bootLeases = e.journal.liveLeases()
-	for key := range e.bootLeases {
-		e.journal.leaseReleased(key)
 	}
 	jobs, sweeps := e.journal.live()
 	replayedSweep := map[string]bool{}
@@ -770,20 +756,13 @@ func (e *Engine) ModelBlob(key string) ([]byte, bool, error) {
 	return e.store.GetBlob(key)
 }
 
-// BootLeases returns the lease edges (job content-address → worker
-// name) that were live in the journal when this engine booted — in-
-// flight remote assignments of the previous process. The replay has
-// already requeued those jobs; the coordinator consumes this once for
-// its requeue counters.
-func (e *Engine) BootLeases() map[string]string { return e.bootLeases }
-
 // ClaimRemote leases the next queued job to a remote worker: the job
-// transitions to Running attributed to the worker, its journal gains a
-// lease edge, and subscribers see the start event exactly as they would
-// for a local run. prefer, when non-nil, picks shard-affine work first
-// (see Scheduler.claimRemote for its constraints); onCancel, when
-// non-nil, is invoked if a user cancels the job while leased, so the
-// coordinator can relay the cancel to the worker on its next heartbeat.
+// transitions to Running attributed to the worker, and subscribers see
+// the start event exactly as they would for a local run. prefer, when
+// non-nil, picks shard-affine work first (see Scheduler.claimRemote for
+// its constraints); onCancel, when non-nil, is invoked if a user
+// cancels the job while leased, so the coordinator can relay the cancel
+// to the worker on its next heartbeat.
 func (e *Engine) ClaimRemote(worker string, prefer func(key string) bool, onCancel func(*Job)) (*Job, bool) {
 	j := e.sched.claimRemote(worker, prefer, onCancel)
 	return j, j != nil
@@ -805,29 +784,20 @@ func (e *Engine) RemoteProgress(j *Job, round, rounds int) {
 }
 
 // CompleteRemote settles a leased job with a remote outcome. A
-// successful result (and its optional model checkpoint blob) is
-// persisted to the Store under the job's content-address before the job
-// finishes, preserving the invariant that a Done job's result is
-// cached. jobErr wrapping context.Canceled marks the job Cancelled; any
-// other error marks it Failed. Late completions — the lease expired and
-// the job was requeued but not yet re-claimed — are accepted: the work
-// is done, content-addressing makes the outcome identical.
-func (e *Engine) CompleteRemote(j *Job, res *Result, blob []byte, jobErr error) error {
+// successful result is persisted to the Store under the job's
+// content-address before the job finishes, preserving the invariant
+// that a Done job's result is cached (its checkpoint blob, if any,
+// arrived earlier through Store.PutBlob). jobErr wrapping
+// context.Canceled marks the job Cancelled; any other error marks it
+// Failed. Late completions — the lease expired and the job was requeued
+// but not yet re-claimed — are accepted: the work is done,
+// content-addressing makes the outcome identical.
+func (e *Engine) CompleteRemote(j *Job, res *Result, jobErr error) error {
 	if jobErr == nil {
 		if res == nil {
 			return fmt.Errorf("engine: remote completion of job %s carries neither result nor error", j.ID)
 		}
-		if err := e.persist(j, "persist", nil, func() error {
-			if err := e.store.Put(j.Key, res); err != nil {
-				return err
-			}
-			if len(blob) > 0 {
-				// Best-effort, like the local path: a full disk must not
-				// discard a completed run's metrics.
-				_ = e.store.PutBlob(j.Key, blob)
-			}
-			return nil
-		}); err != nil {
+		if err := e.persist(j, "persist", nil, func() error { return e.store.Put(j.Key, res) }); err != nil {
 			return err
 		}
 	}

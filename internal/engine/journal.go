@@ -24,20 +24,13 @@ const journalFileName = "journal.jsonl"
 // long-running server's journal would grow forever.
 const journalCompactEvery = 4096
 
-// Journal operations. A job (or sweep) appears as a `submit` record,
-// optionally a `start`, and a terminal `done`; replay re-enqueues every
-// submit without a matching done.
+// Journal operations. A job (or sweep) appears as a `submit` record and
+// a terminal `done`; replay re-enqueues every submit without a matching
+// done. Nothing else is written: a log has to hold only what recovery
+// reads.
 const (
 	journalOpSubmit = "submit"
-	journalOpStart  = "start"
 	journalOpDone   = "done"
-	// lease/release record which remote worker holds a job. A live lease
-	// without a matching release tells a rebooted coordinator the job was
-	// assigned to a worker when the process died; replay re-enqueues it
-	// and surfaces the stale assignment (Engine.BootLeases) so the
-	// coordinator can count the requeue.
-	journalOpLease   = "lease"
-	journalOpRelease = "release"
 )
 
 // Journal record kinds.
@@ -64,14 +57,12 @@ type journalRecord struct {
 	Spec       *Spec  `json:"spec,omitempty"`
 	Sweep      *Sweep `json:"sweep,omitempty"`
 	// State is the terminal state of a done record.
-	State State `json:"state,omitempty"`
-	// Worker names the remote worker of a lease record.
-	Worker string    `json:"worker,omitempty"`
-	At     time.Time `json:"at"`
+	State State     `json:"state,omitempty"`
+	At    time.Time `json:"at"`
 }
 
 // Journal is the engine's write-ahead job journal: an append-only JSONL
-// file of submit/start/done records, fsync'd per append, that lets a
+// file of submit/done records, fsync'd per append, that lets a
 // rebooted engine re-enqueue every job and sweep that was queued or
 // running when the process died. Re-submission is idempotent — Specs
 // are content-addressed, so cells that completed before the crash are
@@ -88,7 +79,6 @@ type Journal struct {
 	f       *os.File
 	jobs    map[string]journalRecord // live job submit records by content-address
 	sweeps  map[string]journalRecord // live sweep submit records by trace
-	leases  map[string]string        // live lease edges: job content-address → worker
 	order   []string                 // submission order of live keys ("j:"/"s:" prefixed)
 	appends int                      // since the last compaction
 	// compactEvery is journalCompactEvery, overridable by tests.
@@ -108,7 +98,6 @@ func openJournal(dir string, m *journalMetrics, log *slog.Logger) (*Journal, err
 		path:         path,
 		jobs:         map[string]journalRecord{},
 		sweeps:       map[string]journalRecord{},
-		leases:       map[string]string{},
 		compactEvery: journalCompactEvery,
 	}
 	if err := jl.load(); err != nil {
@@ -166,11 +155,6 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 		jl.jobs[rec.Key] = rec
 	case rec.Kind == journalKindJob && rec.Op == journalOpDone:
 		delete(jl.jobs, rec.Key)
-		delete(jl.leases, rec.Key)
-	case rec.Kind == journalKindJob && rec.Op == journalOpLease && rec.Worker != "":
-		jl.leases[rec.Key] = rec.Worker
-	case rec.Kind == journalKindJob && rec.Op == journalOpRelease:
-		delete(jl.leases, rec.Key)
 	case rec.Kind == journalKindSweep && rec.Op == journalOpSubmit && rec.Sweep != nil:
 		if _, ok := jl.sweeps[rec.Key]; !ok {
 			jl.order = append(jl.order, "s:"+rec.Key)
@@ -178,9 +162,9 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 		jl.sweeps[rec.Key] = rec
 	case rec.Kind == journalKindSweep && rec.Op == journalOpDone:
 		delete(jl.sweeps, rec.Key)
-	case rec.Op == journalOpStart:
-		// Start records are observability only: a started-but-unfinished
-		// job replays exactly like a queued one.
+	case rec.Op == "start" || rec.Op == "lease" || rec.Op == "release":
+		// Ops older binaries wrote and replay never needed; the boot-time
+		// compaction rewrites them away.
 	default:
 		jl.metrics.corrupt.Inc()
 		jl.log.Warn("engine: skipping malformed journal record", "op", rec.Op, "kind", rec.Kind, "key", rec.Key)
@@ -231,20 +215,6 @@ func (jl *Journal) jobSubmitted(key, trace, tenant string, priority int, sweepTr
 	jl.appendLocked(rec)
 }
 
-// jobStarted journals a worker picking the job up. No-op for jobs the
-// journal does not know (ad-hoc func jobs, cache hits).
-func (jl *Journal) jobStarted(key string) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, ok := jl.jobs[key]; !ok {
-		return
-	}
-	jl.appendLocked(journalRecord{Op: journalOpStart, Kind: journalKindJob, Key: key})
-}
-
 // jobDone journals a job reaching a terminal state, releasing its live
 // record. No-op for unknown keys.
 func (jl *Journal) jobDone(key string, state State) {
@@ -259,58 +229,6 @@ func (jl *Journal) jobDone(key string, state State) {
 	rec := journalRecord{Op: journalOpDone, Kind: journalKindJob, Key: key, State: state}
 	jl.applyLocked(rec)
 	jl.appendLocked(rec)
-}
-
-// jobLeased journals a remote worker acquiring the job's lease. No-op
-// for jobs the journal does not know.
-func (jl *Journal) jobLeased(key, worker string) {
-	if jl == nil || worker == "" {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, ok := jl.jobs[key]; !ok {
-		return
-	}
-	rec := journalRecord{Op: journalOpLease, Kind: journalKindJob, Key: key, Worker: worker}
-	jl.applyLocked(rec)
-	jl.appendLocked(rec)
-}
-
-// leaseReleased journals a lease edge being severed without the job
-// finishing (requeue after expiry or abandonment; terminal outcomes are
-// released implicitly by their done record). No-op when no lease is
-// live for the key.
-func (jl *Journal) leaseReleased(key string) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, ok := jl.leases[key]; !ok {
-		return
-	}
-	rec := journalRecord{Op: journalOpRelease, Kind: journalKindJob, Key: key}
-	jl.applyLocked(rec)
-	jl.appendLocked(rec)
-}
-
-// liveLeases snapshots the live lease edges (job content-address →
-// worker name).
-func (jl *Journal) liveLeases() map[string]string {
-	if jl == nil {
-		return nil
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if len(jl.leases) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(jl.leases))
-	for k, w := range jl.leases {
-		out[k] = w
-	}
-	return out
 }
 
 // sweepSubmitted journals a sweep (keyed by batch trace) so a reboot
@@ -352,14 +270,33 @@ func (jl *Journal) live() (jobs, sweeps []journalRecord) {
 	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	for _, k := range jl.order {
-		if rec, ok := jl.jobs[k[2:]]; ok && k[0] == 'j' {
+	for _, rec := range jl.liveLocked() {
+		if rec.Kind == journalKindJob {
 			jobs = append(jobs, rec)
-		} else if rec, ok := jl.sweeps[k[2:]]; ok && k[0] == 's' {
+		} else {
 			sweeps = append(sweeps, rec)
 		}
 	}
 	return jobs, sweeps
+}
+
+// liveLocked returns the live submit records in submission order, each
+// once: a key that settled and was submitted again sits in jl.order
+// twice until the next compaction.
+func (jl *Journal) liveLocked() []journalRecord {
+	seen := make(map[string]bool, len(jl.order))
+	var recs []journalRecord
+	for _, k := range jl.order {
+		rec, ok := jl.sweeps[k[2:]]
+		if k[0] == 'j' {
+			rec, ok = jl.jobs[k[2:]]
+		}
+		if ok && !seen[k] {
+			seen[k] = true
+			recs = append(recs, rec)
+		}
+	}
+	return recs
 }
 
 // compact rewrites the journal down to its live submit records
@@ -382,35 +319,15 @@ func (jl *Journal) compactLocked() {
 		return
 	}
 	w := bufio.NewWriter(tmp)
-	kept := jl.order[:0]
-	for _, k := range jl.order {
-		var rec journalRecord
-		var ok bool
-		if k[0] == 'j' {
-			rec, ok = jl.jobs[k[2:]]
-		} else {
-			rec, ok = jl.sweeps[k[2:]]
-		}
-		if !ok {
-			continue
-		}
+	var kept []string
+	for _, rec := range jl.liveLocked() {
 		raw, err := json.Marshal(rec)
 		if err != nil {
 			continue
 		}
 		w.Write(raw)
 		w.WriteByte('\n')
-		// A live lease edge survives compaction right behind its job's
-		// submit record, so a coordinator restart still sees who held it.
-		if k[0] == 'j' {
-			if worker, ok := jl.leases[k[2:]]; ok {
-				if lraw, err := json.Marshal(journalRecord{Op: journalOpLease, Kind: journalKindJob, Key: k[2:], Worker: worker, At: time.Now().UTC()}); err == nil {
-					w.Write(lraw)
-					w.WriteByte('\n')
-				}
-			}
-		}
-		kept = append(kept, k)
+		kept = append(kept, rec.Kind[:1]+":"+rec.Key)
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
@@ -446,7 +363,7 @@ func (jl *Journal) compactLocked() {
 	} else {
 		jl.f = f
 	}
-	jl.order = append([]string(nil), kept...)
+	jl.order = kept
 	jl.appends = 0
 	jl.metrics.compactions.Inc()
 	jl.log.Info("engine: journal compacted", "live", len(jl.order), "path", jl.path)

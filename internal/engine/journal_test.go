@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -255,9 +257,9 @@ func TestJournalCorruptLineSkipAndCount(t *testing.T) {
 
 // TestJournalLeaseReplay is the distributed half of the durability
 // contract: a coordinator crash with jobs leased to remote workers must
-// replay exactly the UNSETTLED leases — their jobs re-enqueue and their
-// lease edges surface through BootLeases — while a remotely completed
-// job answers from the cache with zero extra training rounds.
+// replay exactly the UNSETTLED leases — their jobs re-enqueue and are
+// claimable again — while a remotely completed job answers from the
+// cache with zero extra training rounds.
 func TestJournalLeaseReplay(t *testing.T) {
 	dir := t.TempDir()
 	// Workers: -1 — a dispatch-only coordinator; nothing runs locally,
@@ -295,11 +297,15 @@ func TestJournalLeaseReplay(t *testing.T) {
 		t.Fatalf("leased job worker = %q, want w1", got)
 	}
 
-	// The worker finishes A (with a checkpoint blob), then the
-	// coordinator "crashes" with B still leased.
+	// The worker finishes A — uploading its checkpoint blob first, as
+	// the coordinator's model route does — then the coordinator
+	// "crashes" with B still leased.
 	resA := &Result{SpecHash: jA.Key, Method: "FedAvg",
 		Stats: []RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.5}}, ElapsedSec: 0.01}
-	if err := e1.CompleteRemote(claimed[jA.Key], resA, []byte("blob-a"), nil); err != nil {
+	if err := e1.Store().PutBlob(jA.Key, []byte("blob-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.CompleteRemote(claimed[jA.Key], resA, nil); err != nil {
 		t.Fatal(err)
 	}
 	if jA.State() != StateDone {
@@ -313,15 +319,6 @@ func TestJournalLeaseReplay(t *testing.T) {
 	}
 	defer e2.Close()
 
-	// Only B's lease edge survives; A settled.
-	boot := e2.BootLeases()
-	if len(boot) != 1 || boot[jB.Key] != "w1" {
-		t.Fatalf("boot leases = %v, want {%.12s: w1}", boot, jB.Key)
-	}
-	// The boot severed the edges: a second crash would not replay them.
-	if live := e2.journal.liveLeases(); live != nil {
-		t.Fatalf("live leases after boot = %v, want none", live)
-	}
 	if got := e2.journal.metrics.replayed.With("job").Value(); got != 1 {
 		t.Fatalf("journal_replayed_total{kind=job} = %d, want 1 (only the leased job)", got)
 	}
@@ -349,5 +346,255 @@ func TestJournalLeaseReplay(t *testing.T) {
 	}
 	if blob, ok, _ := e2.ModelBlob(jA.Key); !ok || string(blob) != "blob-a" {
 		t.Fatalf("checkpoint blob after reboot = %q/%v, want blob-a", blob, ok)
+	}
+}
+
+// TestJournalRecordsPerJob pins the journal's write cost: a job costs
+// exactly its submit and its done record, whether it runs on the local
+// pool or is leased to a remote worker and completed there.
+func TestJournalRecordsPerJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	t.Run("local", func(t *testing.T) {
+		e, err := New(Options{Workers: 1, CacheDir: t.TempDir(), Metrics: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := e.Submit(tinySpec("FedAvg"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		e.Close() // waits for the worker loop's done record
+		if got := e.journal.metrics.records.Value(); got != 2 {
+			t.Fatalf("journal_records_total after one local job = %d, want 2 (submit, done)", got)
+		}
+	})
+
+	t.Run("leased", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := New(Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		spec := tinySpec("FedAvg")
+		if _, err := e.Submit(spec, 0); err != nil {
+			t.Fatal(err)
+		}
+		j, ok := e.ClaimRemote("w1", nil, nil)
+		if !ok {
+			t.Fatal("queue empty, want a lease")
+		}
+		res := &Result{SpecHash: j.Key, Method: spec.Method, ElapsedSec: 0.01}
+		if err := e.CompleteRemote(j, res, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.journal.metrics.records.Value(); got != 2 {
+			t.Fatalf("journal_records_total after one leased job = %d, want 2 (submit, done)", got)
+		}
+		if got := len(journalLines(t, dir)); got != 2 {
+			t.Fatalf("journal has %d lines after one leased job, want 2", got)
+		}
+	})
+}
+
+// TestJournalReplaysLegacyOps boots over a journal in the older
+// five-op format (submit/start/lease/release/done, lease records
+// carrying a worker). The extra ops carry nothing replay needs: they
+// are skipped without counting as corrupt, the live set is exactly the
+// unsettled submits, and compaction leaves submit records only.
+func TestJournalReplaysLegacyOps(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := json.Marshal(tinySpec("FedAvg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = `"at":"2026-01-02T03:04:05Z"`
+	submit := func(key string) string {
+		return fmt.Sprintf(`{"op":"submit","kind":"job","key":%q,"tenant":"alice","spec":%s,%s}`, key, spec, at)
+	}
+	edge := func(op, key, extra string) string {
+		return fmt.Sprintf(`{"op":%q,"kind":"job","key":%q%s,%s}`, op, key, extra, at)
+	}
+	lines := []string{
+		// settled: started, leased, released, re-leased, done
+		submit("k-done"),
+		edge("start", "k-done", ""),
+		edge("lease", "k-done", `,"worker":"w1"`),
+		edge("release", "k-done", ""),
+		edge("lease", "k-done", `,"worker":"w2"`),
+		edge("done", "k-done", `,"state":"done"`),
+		// live: leased to a worker when the process died
+		submit("k-leased"),
+		edge("start", "k-leased", ""),
+		edge("lease", "k-leased", `,"worker":"w1"`),
+		// live: started locally, never finished
+		submit("k-started"),
+		edge("start", "k-started", ""),
+		// live: queued only
+		submit("k-queued"),
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFileName), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jl, err := openJournal(dir, newJournalMetrics(telemetry.NewRegistry()), slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	if got := jl.metrics.corrupt.Value(); got != 0 {
+		t.Fatalf("journal_corrupt_lines_total = %d, want 0 (legacy ops are not corrupt)", got)
+	}
+	liveKeys := func() []string {
+		jobs, sweeps := jl.live()
+		if len(sweeps) != 0 {
+			t.Fatalf("live sweeps = %+v, want none", sweeps)
+		}
+		var keys []string
+		for _, rec := range jobs {
+			keys = append(keys, rec.Key)
+		}
+		return keys
+	}
+	want := "k-leased,k-started,k-queued"
+	if got := strings.Join(liveKeys(), ","); got != want {
+		t.Fatalf("live keys = %s, want %s", got, want)
+	}
+
+	jl.compact()
+	after := journalLines(t, dir)
+	if len(after) != 3 {
+		t.Fatalf("compacted journal has %d lines, want 3", len(after))
+	}
+	for _, l := range after {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(l), &rec); err != nil || rec.Op != journalOpSubmit || rec.Spec == nil {
+			t.Fatalf("compacted line %s: want a submit record with its spec (err %v)", l, err)
+		}
+		if strings.Contains(l, "worker") {
+			t.Fatalf("compacted line %s still carries a worker", l)
+		}
+	}
+	if got := strings.Join(liveKeys(), ","); got != want {
+		t.Fatalf("live keys after compaction = %s, want %s", got, want)
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the journal loader as the
+// contents of journal.jsonl. Whatever the bytes — torn tails, foreign
+// data, legacy ops, duplicate submits — loading never panics or fails,
+// a key whose last parseable record is a done is never in the replay
+// set, and compaction keeps the replay set intact while leaving only
+// submit records on disk.
+//
+// The seed corpus is testdata/fuzz/FuzzJournalReplay.
+func FuzzJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log := slog.New(slog.NewTextHandler(io.Discard, nil))
+		jl, err := openJournal(dir, newJournalMetrics(telemetry.NewRegistry()), log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jl.Close()
+
+		// Reference fold: the last parseable submit or done of a key
+		// decides whether it is settled.
+		settled := map[string]bool{}
+		for _, line := range strings.Split(string(data), "\n") {
+			var rec journalRecord
+			if json.Unmarshal([]byte(line), &rec) != nil || rec.Key == "" {
+				continue
+			}
+			id := rec.Kind + ":" + rec.Key
+			switch {
+			case rec.Op == journalOpDone && (rec.Kind == journalKindJob || rec.Kind == journalKindSweep):
+				settled[id] = true
+			case rec.Op == journalOpSubmit && (rec.Kind == journalKindJob && rec.Spec != nil || rec.Kind == journalKindSweep && rec.Sweep != nil):
+				settled[id] = false
+			}
+		}
+		liveIDs := func(jl *Journal) []string {
+			jobs, sweeps := jl.live()
+			var ids []string
+			for _, rec := range jobs {
+				ids = append(ids, journalKindJob+":"+rec.Key)
+			}
+			for _, rec := range sweeps {
+				ids = append(ids, journalKindSweep+":"+rec.Key)
+			}
+			return ids
+		}
+		before := liveIDs(jl)
+		for _, id := range before {
+			if done, seen := settled[id]; !seen || done {
+				t.Fatalf("replay set holds %q (seen %v, settled %v)", id, seen, done)
+			}
+		}
+		if len(before) != jl.liveCount() {
+			t.Fatalf("live() returned %d records, liveCount %d", len(before), jl.liveCount())
+		}
+
+		jl.compact()
+		jl.Close()
+		jl2, err := openJournal(dir, newJournalMetrics(telemetry.NewRegistry()), log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jl2.Close()
+		if got := jl2.metrics.corrupt.Value(); got != 0 {
+			t.Fatalf("compacted journal has %d corrupt lines", got)
+		}
+		if after := liveIDs(jl2); strings.Join(after, "|") != strings.Join(before, "|") {
+			t.Fatalf("replay set after compaction = %q, want %q", after, before)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, journalFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+			var rec journalRecord
+			if line != "" && (json.Unmarshal([]byte(line), &rec) != nil || rec.Op != journalOpSubmit) {
+				t.Fatalf("compacted journal line %q is not a submit record", line)
+			}
+		}
+	})
+}
+
+// TestJournalResubmittedKeyReplaysOnce covers a key that settles and is
+// submitted again before the next compaction (a Fresh() re-run, or a
+// reused sweep trace): it is live once, replays once, and compacts to
+// one line.
+func TestJournalResubmittedKeyReplaysOnce(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := openJournal(dir, newJournalMetrics(telemetry.NewRegistry()), slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	spec := tinySpec("FedAvg")
+	jl.jobSubmitted("k", "tr-1", "alice", 0, "", spec)
+	jl.jobDone("k", StateDone)
+	jl.jobSubmitted("k", "tr-2", "alice", 0, "", spec)
+	sw := Sweep{Base: spec, Seeds: []SeedSpec{{Seed: 1}}}
+	jl.sweepSubmitted("sw", "alice", 0, sw)
+	jl.sweepDone("sw")
+	jl.sweepSubmitted("sw", "alice", 0, sw)
+
+	jobs, sweeps := jl.live()
+	if len(jobs) != 1 || jobs[0].Trace != "tr-2" || len(sweeps) != 1 {
+		t.Fatalf("live set = jobs %+v sweeps %+v, want the resubmitted job and sweep once each", jobs, sweeps)
+	}
+	jl.compact()
+	if got := len(journalLines(t, dir)); got != 2 {
+		t.Fatalf("compacted journal has %d lines, want 2", got)
 	}
 }

@@ -302,8 +302,8 @@ func outcome(err error) State {
 type Scheduler struct {
 	metrics *engineMetrics
 	log     *slog.Logger
-	// journal, when non-nil, receives started/terminal records for
-	// journaled jobs. Jobs cancelled because the scheduler itself is
+	// journal, when non-nil, receives the terminal record of each
+	// journaled job. Jobs cancelled because the scheduler itself is
 	// draining are deliberately NOT journaled terminal: they must
 	// re-enqueue on the next boot.
 	journal *Journal
@@ -664,7 +664,6 @@ func (s *Scheduler) worker() {
 		j.cancel = cancel
 		j.emitLocked()
 		j.mu.Unlock()
-		s.journal.jobStarted(j.Key)
 		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.started, nil)
 		method := methodLabel(j)
 		s.metrics.queueWait.With(method).Observe(j.started.Sub(j.Created).Seconds())
@@ -766,8 +765,6 @@ func (s *Scheduler) claimRemote(worker string, prefer func(key string) bool, onC
 		j.emitLocked()
 		queueSec := j.started.Sub(j.Created).Seconds()
 		j.mu.Unlock()
-		s.journal.jobStarted(j.Key)
-		s.journal.jobLeased(j.Key, worker)
 		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.started, nil)
 		method := methodLabel(j)
 		s.metrics.queueWait.With(method).Observe(queueSec)
@@ -846,7 +843,6 @@ func (s *Scheduler) requeueRemote(j *Job) bool {
 	s.cond.Signal()
 	j.mu.Unlock()
 	s.mu.Unlock()
-	s.journal.leaseReleased(j.Key)
 	s.recordSpanID(j, runSpan, j.rootSpan, "lease", started, time.Now(),
 		map[string]string{"worker": worker, "outcome": "requeued"})
 	s.log.Info("engine: leased job requeued", "trace", j.TraceID, "job", j.ID, "worker", worker)
@@ -880,7 +876,6 @@ func (s *Scheduler) completeRemote(j *Job, res *Result, jobErr error) bool {
 	if !(state == StateCancelled && s.isClosed()) {
 		s.journal.jobDone(j.Key, state)
 	}
-	s.journal.leaseReleased(j.Key)
 	if jobErr != nil {
 		s.log.Warn("engine: remote job finished",
 			"trace", j.TraceID, "job", j.ID, "worker", worker, "method", method, "state", state,
