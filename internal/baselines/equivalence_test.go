@@ -3,6 +3,7 @@ package baselines_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pardon-feddg/pardon/internal/baselines"
@@ -17,7 +18,7 @@ import (
 // The tests below are the old-vs-new aggregation equivalence suite of
 // the parameter-arena refactor: every method's Aggregate now runs fused
 // whole-arena sweeps, and each is pinned bit-identical to a reference
-// implementation of the historical per-tensor/ParamVector path.
+// implementation of the historical per-tensor/vector-copy path.
 
 // perturbedUpdates builds deterministic client updates around a shared
 // global model (what LocalTrain would hand the server, minus the cost of
@@ -99,17 +100,17 @@ func TestFedAvgFamilyAggregationMatchesLegacy(t *testing.T) {
 	}
 }
 
-// legacyFedGMA is the pre-refactor FedGMA server step: ParamVector
+// legacyFedGMA is the pre-refactor FedGMA server step: parameter-vector
 // copies, materialized per-client delta vectors, coordinate-outer loop.
 func legacyFedGMA(t *testing.T, g *baselines.FedGMA, global *nn.Model, parts []*fl.Client, updates []*nn.Model) *nn.Model {
 	t.Helper()
-	gv := global.ParamVector()
+	gv := slices.Clone(global.Vector())
 	n := len(gv)
 	deltas := make([][]float64, len(updates))
 	weights := make([]float64, len(updates))
 	totalW := 0.0
 	for i, u := range updates {
-		uv := u.ParamVector()
+		uv := slices.Clone(u.Vector())
 		d := make([]float64, n)
 		for j := range d {
 			d[j] = uv[j] - gv[j]
@@ -122,7 +123,7 @@ func legacyFedGMA(t *testing.T, g *baselines.FedGMA, global *nn.Model, parts []*
 		weights[i] /= totalW
 	}
 	out := global.Clone()
-	ov := out.ParamVector()
+	ov := slices.Clone(out.Vector())
 	for j := 0; j < n; j++ {
 		avg := 0.0
 		signSum := 0.0
@@ -143,9 +144,7 @@ func legacyFedGMA(t *testing.T, g *baselines.FedGMA, global *nn.Model, parts []*
 		}
 		ov[j] = gv[j] + scale*avg
 	}
-	if err := out.SetParamVector(ov); err != nil {
-		t.Fatal(err)
-	}
+	copy(out.Vector(), ov)
 	return out
 }
 

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pardon-feddg/pardon/internal/core"
@@ -249,7 +250,7 @@ func TestLocalTrainChangesModel(t *testing.T) {
 			t.Fatalf("%s returned the input model", variant)
 		}
 		diff := 0.0
-		ov, mv := out.ParamVector(), model.ParamVector()
+		ov, mv := slices.Clone(out.Vector()), slices.Clone(model.Vector())
 		for i := range ov {
 			d := ov[i] - mv[i]
 			diff += d * d

@@ -12,8 +12,8 @@ import (
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
-// tinySpec is a federated run small enough for cluster tests; KeepModel
-// is on so the checkpoint upload path is exercised end to end.
+// tinySpec is a federated run small enough for cluster tests; every run
+// uploads its checkpoint blob, so the upload path is exercised end to end.
 func tinySpec(method string, seed uint64) engine.Spec {
 	return engine.Spec{
 		Method:    method,
@@ -28,7 +28,6 @@ func tinySpec(method string, seed uint64) engine.Spec {
 		EvalPer:   12,
 		Seed:      seed,
 		Tag:       "dist-test",
-		KeepModel: true,
 	}
 }
 
@@ -166,9 +165,6 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Stats, ref.Stats) {
 			t.Fatalf("cell %.12s stats diverge:\n cluster %+v\n solo    %+v", j.Key, res.Stats, ref.Stats)
-		}
-		if !reflect.DeepEqual(res.Model, ref.Model) {
-			t.Fatalf("cell %.12s model vector diverges", j.Key)
 		}
 		blob, ok, err := cl.eng.ModelBlob(j.Key)
 		if err != nil || !ok {

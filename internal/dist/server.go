@@ -46,8 +46,9 @@ func (c *Coordinator) Mount(s *engine.Server) {
 // decodeInto reads a JSON body with strict fields, writing the error
 // response itself on failure. limit caps the body: registration and
 // heartbeat bodies are small, but a lease completion carries the full
-// Result — including a KeepModel run's parameter vector as JSON — and
-// gets the blob-sized allowance.
+// Result and the run's spans, and gets the upload-sized allowance. The
+// trained model never rides in it: it arrives as the checkpoint blob on
+// the model route.
 func decodeInto(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()

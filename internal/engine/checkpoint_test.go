@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/metrics"
 	"github.com/pardon-feddg/pardon/internal/nn"
 )
@@ -84,7 +85,6 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
 	spec := tinySpec("FedAvg")
-	spec.KeepModel = true
 
 	j, err := e.Submit(spec, 0)
 	if err != nil {
@@ -105,20 +105,31 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Vector()
-	if len(got) != len(res.Model) {
-		t.Fatalf("checkpoint has %d params, result vector %d", len(got), len(res.Model))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(res.Model[i]) {
-			t.Fatalf("checkpoint param %d = %g, result vector has %g", i, got[i], res.Model[i])
-		}
-	}
-	// The restored model evaluates to the run's reported test accuracy.
+	// The reference parameters: the same run repeated directly through
+	// fl.Run on the engine's scenario.
 	sc, err := e.BuildScenario(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	alg, err := NewAlgorithm(spec.Method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := fl.Run(sc.Env, alg, sc.Clients, sc.Val, sc.Test,
+		fl.RunConfig{Rounds: spec.Rounds, SampleK: spec.SampleK, EvalEvery: spec.EvalEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := m.Vector(), ref.Vector()
+	if len(got) != len(want) {
+		t.Fatalf("checkpoint has %d params, trained model %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("checkpoint param %d = %g, trained model has %g", i, got[i], want[i])
+		}
+	}
+	// The restored model evaluates to the run's reported test accuracy.
 	acc, err := metrics.Accuracy(m, sc.Test.X, sc.Test.Labels, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -233,30 +233,46 @@ func New(opts Options) (*Engine, error) {
 // sweeps first (a replayed sweep re-creates its cell jobs), then
 // standalone jobs whose sweep — if any — did not replay. Replay errors
 // are logged and skipped, never fatal: one Spec that no longer
-// validates must not keep the server down.
+// validates must not keep the server down. A record whose Spec now
+// hashes elsewhere (a CodeVersion bump, a new default precision) is
+// settled under its old key once its re-submission has journaled the
+// new one, or nothing would ever settle it.
 func (e *Engine) replayJournal() {
 	if e.journal == nil {
 		return
 	}
 	jobs, sweeps := e.journal.live()
-	replayedSweep := map[string]bool{}
+	replayedCells := map[string]map[string]bool{} // sweep trace → its cells' keys
 	for _, rec := range sweeps {
-		if _, err := e.SubmitSweep(*rec.Sweep, rec.Priority, WithTrace(rec.Trace), WithTenant(rec.Tenant)); err != nil {
+		b, err := e.SubmitSweep(*rec.Sweep, rec.Priority, WithTrace(rec.Trace), WithTenant(rec.Tenant))
+		if err != nil {
 			e.log.Warn("engine: journal sweep replay failed", "trace", rec.Trace, "error", err)
 			continue
 		}
-		replayedSweep[rec.Key] = true
+		keys := make(map[string]bool, len(b.unique))
+		for _, j := range b.unique {
+			keys[j.Key] = true
+		}
+		replayedCells[rec.Key] = keys
 		e.journal.metrics.replayed.With("sweep").Inc()
 	}
 	for _, rec := range jobs {
-		if rec.SweepTrace != "" && replayedSweep[rec.SweepTrace] {
-			continue // re-created as a cell of its replayed sweep
+		if keys, ok := replayedCells[rec.SweepTrace]; ok {
+			// Re-created as a cell of its replayed sweep.
+			if !keys[rec.Key] {
+				e.journal.jobDone(rec.Key, StateCancelled)
+			}
+			continue
 		}
 		o := resolveOptions(WithTrace(rec.Trace), WithTenant(rec.Tenant))
 		o.sweep = rec.SweepTrace
-		if _, err := e.submitSpec(*rec.Spec, rec.Priority, o); err != nil {
+		j, err := e.submitSpec(*rec.Spec, rec.Priority, o)
+		if err != nil {
 			e.log.Warn("engine: journal job replay failed", "trace", rec.Trace, "key", rec.Key, "error", err)
 			continue
+		}
+		if j.Key != rec.Key {
+			e.journal.jobDone(rec.Key, StateCancelled)
 		}
 		e.journal.metrics.replayed.With("job").Inc()
 	}
@@ -732,9 +748,6 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 		return nil, err
 	}
 	res := resultFromHistory(hash, spec.Method, hist)
-	if spec.KeepModel {
-		res.Model = model.ParamVector()
-	}
 	res.ElapsedSec = time.Since(start).Seconds()
 	// The trained model becomes a content-addressed checkpoint blob next
 	// to the Result, so cached re-runs return metrics AND the model

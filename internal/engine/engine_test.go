@@ -90,9 +90,6 @@ func TestSpecHashSensitivity(t *testing.T) {
 	s.Rounds++
 	mutations["rounds"] = s
 	s = tinySpec("FedAvg")
-	s.KeepModel = true
-	mutations["keepmodel"] = s
-	s = tinySpec("FedAvg")
 	s.Lambda = 0.2
 	mutations["lambda"] = s
 	s = tinySpec("FedAvg")
@@ -107,6 +104,49 @@ func TestSpecHashSensitivity(t *testing.T) {
 			t.Errorf("mutating %s did not change the hash", name)
 		}
 	}
+}
+
+// FuzzSpecHash checks the content-address on every decodable Spec that
+// validates: Hash is deterministic, survives a Canonical → decode round
+// trip, and gives one address to each set of equivalent spellings —
+// Hidden nil, [] and [defaultHiddenWidth]; Precision "" and "f64".
+func FuzzSpecHash(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		hashOf := func(v Spec) string {
+			hv, err := v.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hv
+		}
+		h := hashOf(s)
+		if again := hashOf(s); again != h {
+			t.Fatalf("Hash not deterministic: %s then %s", h, again)
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Spec
+		if err := json.Unmarshal(c, &back); err != nil {
+			t.Fatalf("canonical form %s does not decode: %v", c, err)
+		}
+		if hb := hashOf(back); hb != h {
+			t.Fatalf("canonical round trip moved the hash: %s → %s (canonical %s)", h, hb, c)
+		}
+		withHidden := func(hd []int) Spec { v := s; v.Hidden = hd; return v }
+		if a, b, c := hashOf(withHidden(nil)), hashOf(withHidden([]int{})), hashOf(withHidden([]int{defaultHiddenWidth})); a != b || a != c {
+			t.Fatalf("Hidden nil, [] and [%d] hash to %s, %s and %s", defaultHiddenWidth, a, b, c)
+		}
+		withPrecision := func(p string) Spec { v := s; v.Precision = p; return v }
+		if a, b := hashOf(withPrecision("")), hashOf(withPrecision("f64")); a != b {
+			t.Fatalf(`Precision "" and "f64" hash to %s and %s`, a, b)
+		}
+	})
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -145,7 +185,6 @@ func TestScenarioKeyIgnoresTrainingOnlyFields(t *testing.T) {
 	b := tinySpec("PARDON")
 	b.Rounds = 7
 	b.EvalEvery = 1
-	b.KeepModel = true
 	ka, err := a.scenarioKey()
 	if err != nil {
 		t.Fatal(err)

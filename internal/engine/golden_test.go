@@ -81,24 +81,45 @@ func TestParallelScenarioBuildsShareEncoder(t *testing.T) {
 // the content-addressed cache serves stored Results by Spec hash, so a
 // computation that changes under an unchanged CodeVersion would serve
 // stale Results from every existing cache.
-const goldenResultCodeVersion = "pardon-engine/3"
+const goldenResultCodeVersion = "pardon-engine/4"
 
 // goldenResultDigests pins resultDigest of tinySpec runs by
 // "<method>/<precision>".
 var goldenResultDigests = map[string]string{
-	"FedAvg/f64": "9729d7c6f680898c0d95f441bd3345c50e1ad6e4e2c1a7788d3fd1c89cb4d11f",
-	"FedAvg/f32": "3f832642a60cc64788614cf11d9218fee2c5babacf1e13b030a3b1a4162ef891",
-	"PARDON/f64": "c240937cd559bd7ad824ba2c7788035a19f5b9b245912a403ed410aa71202a13",
-	"PARDON/f32": "c2a23b7fb8f2f78ee67b4de7ddb04637c5e670dd0941ad3a430b9a7c43038af1",
+	"FedAvg/f64": "45fa4fa73c9db6dbd469ed80615a0d540ae0af4717cfbdf33283178f346cb6a2",
+	"FedAvg/f32": "19cbcbc31649944a69fb3186d591a7c0966f8300f8bccb213eaf88115bb610f3",
+	"PARDON/f64": "2f73f09a4427e08ea2e85f01db18c4101cd5d310654375a30a795c0a9b04f3d9",
+	"PARDON/f32": "2712c6d34ff62ecd30c38ce87dff41c90d72eb1905e81d0e2b561f8874d39d14",
 }
 
-// resultDigest hashes the reproducible part of a run: the Result's
-// SpecHash, its Stats as round numbers and float64 bits, and the stored
-// model checkpoint blob. Wall-clock Timing and ElapsedSec are excluded.
+// goldenComputationDigests pins computationDigest of the same runs. It
+// leaves the content-address out, so a CodeVersion bump that only
+// re-addresses Specs (pardon-engine/3 → /4) must leave it unchanged;
+// it moves only when what a Spec computes does.
+var goldenComputationDigests = map[string]string{
+	"FedAvg/f64": "55ac41d3fb0327612460da23985ba57c083421aa79394b84d1e6c871f818d983",
+	"FedAvg/f32": "31080cdafd5aeef393e312533688a8510116546aa32ebbf511ecd05f8d2adb34",
+	"PARDON/f64": "bd569818784988085a20654a20717c7243302cdc5e87262c38e988a4b2e9d74b",
+	"PARDON/f32": "9a7d25bce56054d2bbf2805bd2a1adfa773a7136ae377bf05d6205fc78281fb9",
+}
+
+// resultDigest hashes the reproducible part of a run under its address:
+// the Result's SpecHash, then computationDigest's input.
 func resultDigest(t *testing.T, e *Engine, res *Result) string {
+	return runDigest(t, e, res, res.SpecHash)
+}
+
+// computationDigest hashes what a run computed, apart from its address:
+// its Stats as round numbers and float64 bits, and the stored model
+// checkpoint blob. Wall-clock Timing and ElapsedSec are excluded.
+func computationDigest(t *testing.T, e *Engine, res *Result) string {
+	return runDigest(t, e, res, "")
+}
+
+func runDigest(t *testing.T, e *Engine, res *Result, address string) string {
 	t.Helper()
 	h := sha256.New()
-	h.Write([]byte(res.SpecHash))
+	h.Write([]byte(address))
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -140,6 +161,10 @@ func TestGoldenResultDigest(t *testing.T) {
 						t.Fatal(err)
 					}
 					digests[i] = resultDigest(t, e, res)
+					if got, want := computationDigest(t, e, res), goldenComputationDigests[name]; got != want {
+						t.Fatalf("computation digest = %s, want %s: what the Spec computes changed — if that is deliberate, bump CodeVersion (spec.go) and re-pin both digest maps",
+							got, want)
+					}
 				}
 				if digests[0] != digests[1] {
 					t.Fatalf("digest differs across Parallelism: 1 → %s, 2 → %s", digests[0], digests[1])

@@ -598,3 +598,74 @@ func TestJournalResubmittedKeyReplaysOnce(t *testing.T) {
 		t.Fatalf("compacted journal has %d lines, want 2", got)
 	}
 }
+
+// TestJournalSettlesMovedAddress: a live record whose Spec now hashes to
+// another key — as after a CodeVersion bump — replays once under its new
+// key and is settled under its old one, whether it is a standalone job
+// or the cell of a replayed sweep. A second boot replays nothing.
+func TestJournalSettlesMovedAddress(t *testing.T) {
+	dir := t.TempDir()
+	job, cell := tinySpec("FedAvg"), tinySpec("PARDON")
+	sw := Sweep{Base: cell}
+	var buf []byte
+	for _, rec := range []journalRecord{
+		{Op: journalOpSubmit, Kind: journalKindJob, Key: "old-address", Trace: "tr-job", Spec: &job},
+		{Op: journalOpSubmit, Kind: journalKindSweep, Key: "tr-sweep", Trace: "tr-sweep", Sweep: &sw},
+		{Op: journalOpSubmit, Kind: journalKindJob, Key: "old-cell", Trace: "tr-sweep-c0", SweepTrace: "tr-sweep", Spec: &cell},
+	} {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(append(buf, raw...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFileName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() *Engine {
+		e, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry(), Logger: discardLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	e1 := boot()
+	if got := e1.journal.metrics.replayed.With("job").Value(); got != 1 {
+		t.Fatalf("first boot: journal_replayed_total{kind=job} = %d, want 1", got)
+	}
+	if got := e1.journal.metrics.replayed.With("sweep").Value(); got != 1 {
+		t.Fatalf("first boot: journal_replayed_total{kind=sweep} = %d, want 1", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, sp := range []Spec{job, cell} {
+		j, err := e1.Submit(sp, 0) // coalesces onto the replayed job
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The sweep's done record lands asynchronously once its cells are.
+	for _, sweeps := e1.journal.live(); len(sweeps) > 0; _, sweeps = e1.journal.live() {
+		if ctx.Err() != nil {
+			t.Fatal("replayed sweep never settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e1.Close()
+
+	e2 := boot()
+	defer e2.Close()
+	if n := e2.journal.liveCount(); n != 0 {
+		jobs, sweeps := e2.journal.live()
+		t.Fatalf("second boot: %d live records (jobs %+v, sweeps %+v), want 0", n, jobs, sweeps)
+	}
+	for _, kind := range []string{"job", "sweep"} {
+		if got := e2.journal.metrics.replayed.With(kind).Value(); got != 0 {
+			t.Fatalf("second boot: journal_replayed_total{kind=%s} = %d, want 0", kind, got)
+		}
+	}
+}

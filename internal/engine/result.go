@@ -40,10 +40,11 @@ func (t Timing) AvgAggregateSec() float64 {
 }
 
 // Result is the memoized outcome of a job: the run's evaluation history
-// and timing, plus — depending on the job — the trained model vector or
-// a bag of named scalars. Results are stored by Spec content-address, so
-// they must be fully reproducible from the Spec (wall-clock timing is
-// informational and exempt).
+// and timing, or a func job's bag of named scalars. Results are stored
+// by Spec content-address, so they must be fully reproducible from the
+// Spec (wall-clock timing is informational and exempt). A Spec run's
+// trained model is not part of the Result: it is stored once, as the
+// checkpoint blob under the same address (Engine.ModelBlob).
 type Result struct {
 	// SpecHash is the content-address of the producing Spec (empty for
 	// SubmitFunc jobs).
@@ -54,9 +55,6 @@ type Result struct {
 	Stats []RoundStat `json:"stats,omitempty"`
 	// Timing is the phase wall-clock breakdown of the producing run.
 	Timing Timing `json:"timing"`
-	// Model is the trained global model's parameter vector, present only
-	// when the Spec set KeepModel.
-	Model []float64 `json:"model,omitempty"`
 	// Values carries named scalar outputs of SubmitFunc jobs.
 	Values map[string]float64 `json:"values,omitempty"`
 	// ElapsedSec is the producing run's total wall-clock (informational;

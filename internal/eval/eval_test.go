@@ -1,8 +1,14 @@
 package eval_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"github.com/pardon-feddg/pardon/internal/engine"
 	"github.com/pardon-feddg/pardon/internal/eval"
 )
 
@@ -119,5 +125,58 @@ func TestStyleTransferComparisonSmoke(t *testing.T) {
 	if res.CCSTTargetLeakage >= res.PARDONTargetLeakage {
 		t.Errorf("CCST leakage %g should be below PARDON's %g (CCST outputs match target styles)",
 			res.CCSTTargetLeakage, res.PARDONTargetLeakage)
+	}
+}
+
+// TestRunLandscape pins Fig. 1 end to end: the loss surfaces around the
+// trained global models (read back from their checkpoint blobs) hash to
+// fixed values, and a cached re-run whose blob was evicted retrains only
+// that cell and reports the same result.
+func TestRunLandscape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig1 run is not short")
+	}
+	cache := t.TempDir()
+	eng, err := engine.New(engine.Options{Workers: 1, CacheDir: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	cfg := eval.Config{Scale: eval.Small, Seed: 1, Seeds: 1, Engine: eng}
+	out := t.TempDir()
+	first, err := eval.RunLandscape(cfg, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for method, want := range map[string]string{
+		"FedAvg": "c94d2adfa5cd85bba4316ceebe7b3d1f8b5b7bf3a9af9036ed06333747f5a001",
+		"PARDON": "dde307786116fbd3e0da437d68552257a04dcf9cceddc1c8fdca0e5bc96d3729",
+	} {
+		raw, err := os.ReadFile(filepath.Join(out, "fig1-surface-"+method+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s surface CSV sha256 = %x, want %s", method, sum, want)
+		}
+	}
+
+	blobs, err := filepath.Glob(filepath.Join(cache, "*.model.bin"))
+	if err != nil || len(blobs) != 2 {
+		t.Fatalf("cache holds checkpoint blobs %v (err %v), want one per cell", blobs, err)
+	}
+	if err := os.Remove(blobs[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	again, err := eval.RunLandscape(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("re-run with an evicted blob = %+v, want %+v", again, first)
+	}
+	if trained := eng.Stats().RoundsExecuted - before.RoundsExecuted; trained != before.RoundsExecuted/2 {
+		t.Fatalf("re-run trained %d rounds, want one cell's %d", trained, before.RoundsExecuted/2)
 	}
 }

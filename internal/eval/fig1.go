@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,12 +57,11 @@ func RunLandscape(cfg Config, outDir string) (*LandscapeResult, error) {
 	split := dataset.Split{Name: "fig1", Train: []int{0, 1}, Test: []int{3}}
 	eng := cfg.engine()
 
-	// Both training runs go through the engine as one method-axis sweep
-	// with KeepModel, so the trained global models come back with the
-	// (cacheable) results; the landscape probes below need the scenario
-	// itself, which the engine shares from its scenario cache.
+	// Both training runs go through the engine as one method-axis sweep;
+	// each trained global model is the checkpoint blob stored under its
+	// cell's content-address. The landscape probes below need the
+	// scenario itself, which the engine shares from its scenario cache.
 	base := flSpec(spec.Name, spec.Gen.Seed, split, 0.0, sz, "", cfg.Seed, 0, "fig1")
-	base.KeepModel = true
 	sw := engine.Sweep{Base: base, Methods: []string{"FedAvg", "PARDON"}}
 	results, err := sweepResults(eng, sw)
 	if err != nil {
@@ -76,11 +76,10 @@ func RunLandscape(cfg Config, outDir string) (*LandscapeResult, error) {
 
 	res := &LandscapeResult{}
 	for i, method := range []string{"FedAvg", "PARDON"} {
-		model, err := nn.New(sc.Env.ModelCfg, sc.Env.RNG.Stream("model-init"))
+		cell := base
+		cell.Method = method
+		model, err := trainedModel(eng, cell, results[i].SpecHash)
 		if err != nil {
-			return nil, err
-		}
-		if err := model.SetParamVector(results[i].Model); err != nil {
 			return nil, fmt.Errorf("eval: fig1 %s model: %w", method, err)
 		}
 		grid, err := landscape.LossSurface(model, sc.Clients, 13, 0.5, cfg.Seed)
@@ -112,4 +111,26 @@ func RunLandscape(cfg Config, outDir string) (*LandscapeResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// trainedModel decodes the checkpoint blob stored under key. A cached
+// Result can outlive its blob (store eviction, a failed best-effort
+// write); the cell is then retrained with Fresh() and read again.
+func trainedModel(eng *engine.Engine, spec engine.Spec, key string) (*nn.Model, error) {
+	blob, ok, err := eng.ModelBlob(key)
+	if err == nil && !ok {
+		var j *engine.Job
+		if j, err = eng.Submit(spec, 0, engine.Fresh()); err == nil {
+			if _, err = j.Wait(context.Background()); err == nil {
+				blob, ok, err = eng.ModelBlob(key)
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("no checkpoint blob stored under %.12s", key)
+	}
+	return nn.LoadModel(blob)
 }

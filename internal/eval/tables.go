@@ -76,24 +76,6 @@ func (r *SplitTableResult) Table(title string) *report.Table {
 	return t
 }
 
-// AvgTest returns the scheme-average test accuracy for a method.
-func (r *SplitTableResult) AvgTest(method string) float64 {
-	s := 0.0
-	for _, sc := range r.Schemes {
-		s += sc.TestAcc[method]
-	}
-	return s / float64(len(r.Schemes))
-}
-
-// AvgVal returns the scheme-average validation accuracy for a method.
-func (r *SplitTableResult) AvgVal(method string) float64 {
-	s := 0.0
-	for _, sc := range r.Schemes {
-		s += sc.ValAcc[method]
-	}
-	return s / float64(len(r.Schemes))
-}
-
 // runSplitScheme evaluates all methods on one scheme of one corpus,
 // averaging over cfg seeds. The (seed × method) grid is one engine
 // sweep, expanded and deduplicated server-side and sharded across the

@@ -3,6 +3,7 @@ package fl_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pardon-feddg/pardon/internal/baselines"
@@ -437,7 +438,7 @@ func TestRunParallelismBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec := model.ParamVector()
+		vec := slices.Clone(model.Vector())
 		if ref == nil {
 			ref = vec
 			continue

@@ -52,10 +52,12 @@ func LossSurface(model *nn.Model, clients []*fl.Client, steps int, radius float6
 	d1 := randomDirection(model, src.Stream("dir1"))
 	d2 := randomDirection(model, src.Stream("dir2"))
 
-	base := model.ParamVector()
+	// Each grid point is written straight into the probe's arena; the
+	// model itself is only read.
+	base := model.Vector()
 	probe := model.Clone()
+	vec := probe.Vector()
 	grid := &Grid{Radius: radius, Loss: make([][]float64, steps)}
-	vec := make([]float64, len(base))
 	for i := 0; i < steps; i++ {
 		grid.Loss[i] = make([]float64, steps)
 		a := radius * (2*float64(i)/float64(steps-1) - 1)
@@ -63,9 +65,6 @@ func LossSurface(model *nn.Model, clients []*fl.Client, steps int, radius float6
 			b := radius * (2*float64(j)/float64(steps-1) - 1)
 			for k := range base {
 				vec[k] = base[k] + a*d1[k] + b*d2[k]
-			}
-			if err := probe.SetParamVector(vec); err != nil {
-				return nil, err
 			}
 			l, err := pooledLoss(probe, clients)
 			if err != nil {

@@ -258,30 +258,11 @@ func (m *Model) CopyFrom(o *Model) error {
 func (m *Model) NumParams() int { return len(m.arena) }
 
 // Vector returns the live flat parameter vector — a zero-copy view of
-// the arena in canonical order. Mutations are visible to the model;
-// callers that need a snapshot must use ParamVector.
+// the arena in canonical order, and the one way in and out of it:
+// writes through it are visible to the model (the f32 shadow is
+// re-narrowed at every forward), and callers that need a snapshot copy
+// it themselves (slices.Clone).
 func (m *Model) Vector() []float64 { return m.arena }
-
-// ParamVector returns a copy of the flat parameter vector (canonical
-// order). It is the compatibility shim over the arena for callers that
-// hold parameter snapshots (landscape probes, engine Results); hot paths
-// should use Vector, which does not allocate.
-func (m *Model) ParamVector() []float64 {
-	out := make([]float64, len(m.arena))
-	copy(out, m.arena)
-	return out
-}
-
-// SetParamVector writes a flat vector (from ParamVector/Vector of a
-// same-config model) back into the arena. It copies into the existing
-// storage and never allocates.
-func (m *Model) SetParamVector(v []float64) error {
-	if len(v) != len(m.arena) {
-		return fmt.Errorf("nn: param vector length %d, want %d", len(v), len(m.arena))
-	}
-	copy(m.arena, v)
-	return nil
-}
 
 // Activations caches a forward pass for backprop. The per-layer buffers
 // are reused across same-size batches by ForwardInto.

@@ -3,6 +3,7 @@ package nn_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pardon-feddg/pardon/internal/loss"
@@ -257,39 +258,12 @@ func TestBackwardDZExtraFiniteDifferences(t *testing.T) {
 	}
 }
 
-func TestParamVectorRoundTrip(t *testing.T) {
-	m := smallModel(t, 7)
-	v := m.ParamVector()
-	if len(v) != m.NumParams() {
-		t.Fatalf("vector len %d vs NumParams %d", len(v), m.NumParams())
-	}
-	m2 := smallModel(t, 8)
-	if err := m2.SetParamVector(v); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range m.Params() {
-		q := m2.Params()[i]
-		for j := range p.Data() {
-			if p.Data()[j] != q.Data()[j] {
-				t.Fatal("roundtrip mismatch")
-			}
-		}
-	}
-	if err := m2.SetParamVector(v[:3]); err == nil {
-		t.Fatal("short vector should error")
-	}
-}
-
-// ParamVector must be a snapshot (the compatibility shim), Vector a live
-// view of the arena, and Params zero-copy views into it.
+// Vector must be a live view of the arena, and Params zero-copy views
+// into it.
 func TestVectorAliasing(t *testing.T) {
 	m := smallModel(t, 70)
-	snap := m.ParamVector()
 	live := m.Vector()
 	m.Params()[idxW1].Data()[0] += 42
-	if snap[0] == m.Vector()[0] {
-		t.Fatal("ParamVector must copy out of the arena")
-	}
 	if live[0] != m.Vector()[0] {
 		t.Fatal("Vector must alias the arena")
 	}
@@ -445,11 +419,11 @@ func TestSGDClip(t *testing.T) {
 	}
 	opt := nn.NewSGD(1, 0, 0)
 	opt.Clip = 1
-	before := m.ParamVector()
+	before := slices.Clone(m.Vector())
 	if err := opt.Step(m, g); err != nil {
 		t.Fatal(err)
 	}
-	after := m.ParamVector()
+	after := slices.Clone(m.Vector())
 	moved := 0.0
 	for i := range before {
 		d := after[i] - before[i]

@@ -85,7 +85,7 @@ func bind32(cfg Config, arena []float32) (w, b [][]float32) {
 
 // syncShadow re-narrows the master arena into the float32 shadow. Called
 // at the top of every forward pass, so external parameter mutation
-// (Vector, SetParamVector, SGD steps, aggregation) can never leave the
+// (writes through Vector, SGD steps, aggregation) can never leave the
 // shadow stale.
 func (m *Model) syncShadow() {
 	if len(m.shadow.arena) != len(m.arena) {
